@@ -32,7 +32,6 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -57,12 +56,13 @@ from .serialize import (
     classical_result_to_dict,
     correlation_from_dict,
     correlation_to_dict,
+    dumps_json,
     functional_from_dict,
     functional_to_dict,
     read_json,
     report_to_dict,
     seesaw_result_to_dict,
-    write_json_atomic,
+    write_text_atomic,
 )
 
 DEFAULT_EPSILON = 0.1
@@ -135,31 +135,11 @@ def argv_from_manifest(manifest: dict) -> list[str]:
 
 def _emit(doc: dict, args, text: str | None = None) -> None:
     """Print the artifact and, with ``--out``, write it atomically."""
-    rendered = text if text is not None else json.dumps(doc, indent=2)
+    rendered = text if text is not None else dumps_json(doc)
     print(rendered)
     out = getattr(args, "out", None)
     if out:
-        if text is not None:
-            _write_text_atomic(out, rendered)
-        else:
-            write_json_atomic(out, doc)
-
-
-def _write_text_atomic(path: str, text: str) -> None:
-    import os
-    import tempfile
-
-    path_obj = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path_obj.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
-        os.replace(tmp, path_obj)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        write_text_atomic(out, rendered)
 
 
 # ---------------------------------------------------------------------------

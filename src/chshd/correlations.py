@@ -9,18 +9,22 @@ grained strategies) reuse the same container with a smaller table.
 Strategies come in three flavours:
 
 * :class:`QuantumStrategy` -- a shared pure state plus one projective
-  measurement (a list of ``d`` projectors) per question.
-* :class:`ChshStrategy` -- the two-question, two-outcome analogue produced by
-  the coarse-graining reductions.
+  measurement per question.  Each party's measurements are one stacked
+  array of shape ``(n_questions, d, dim, dim)``, indexed ``[question,
+  answer]``; the constructor also accepts nested sequences of matrices.
+* :class:`ChshStrategy` -- the two-question, two-outcome subclass produced
+  by the coarse-graining reductions.
 * :class:`DeterministicStrategy` -- fixed answer assignments ``fA``, ``fB``.
 
 All containers are immutable after construction: arrays are copied in and
-marked read-only, so values can be shared freely across threads.
+marked read-only, so values can be shared freely across threads.  Non-finite
+numbers are refused with :class:`~chshd.errors.InputError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,16 +37,19 @@ VALIDATION_TOL = 1e-9
 IMAG_TOL = 1e-9
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array)
-    out.flags.writeable = False
-    return out
+def finite_array(values, dtype, what: str) -> np.ndarray:
+    """Read-only array copy of ``values``.
 
-
-def _frozen_matrix(array, dim: int, what: str) -> np.ndarray:
-    out = np.array(array, dtype=complex)
-    if out.shape != (dim, dim):
-        raise ShapeMismatchError(f"{what} must be a {dim}x{dim} matrix, got shape {out.shape}")
+    Raises:
+        ShapeMismatchError: for ragged or otherwise non-rectangular input.
+        InputError: if any entry is NaN or infinite.
+    """
+    try:
+        out = np.array(values, dtype=dtype)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"{what} is not a rectangular numeric array: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise InputError(f"{what} contains non-finite values")
     out.flags.writeable = False
     return out
 
@@ -64,14 +71,13 @@ class Correlation:
     quantum_generated: bool = False
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=float)
+        table = finite_array(self.table, float, "correlation table")
         if table.ndim != 4:
             raise ShapeMismatchError(f"correlation table must have 4 axes, got {table.ndim}")
         if table.shape[2] != self.d or table.shape[3] != self.d:
             raise ShapeMismatchError(
                 f"answer axes must both have length d={self.d}, got shape {table.shape}"
             )
-        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -91,72 +97,46 @@ class QuantumStrategy:
         d: number of answers per question (projectors per measurement).
         dA, dB: local Hilbert-space dimensions (default ``d`` each).
         state: unit vector of length ``dA * dB``, Alice index major.
-        alice_pvms: ``alice_pvms[x][a]`` is Alice's projector for answer ``a``
-            to question ``x`` (3 questions).
-        bob_pvms: ``bob_pvms[y][b]`` likewise for Bob (4 questions).
+        alice_pvms: complex array of shape ``(3, d, dA, dA)``;
+            ``alice_pvms[x, a]`` is Alice's projector for answer ``a`` to
+            question ``x``.
+        bob_pvms: ``(4, d, dB, dB)`` likewise for Bob.
     """
 
     d: int
     dA: int
     dB: int
     state: np.ndarray
-    alice_pvms: tuple[tuple[np.ndarray, ...], ...]
-    bob_pvms: tuple[tuple[np.ndarray, ...], ...]
+    alice_pvms: np.ndarray
+    bob_pvms: np.ndarray
+
+    #: Number of Alice and Bob questions.
+    questions: ClassVar[tuple[int, int]] = (3, 4)
 
     def __post_init__(self):
-        state = np.array(self.state, dtype=complex).reshape(-1)
+        state = finite_array(self.state, complex, "state").reshape(-1)
         if state.shape != (self.dA * self.dB,):
             raise ShapeMismatchError(
                 f"state must have length dA*dB={self.dA * self.dB}, got {state.shape[0]}"
             )
-        state.flags.writeable = False
         object.__setattr__(self, "state", state)
-        object.__setattr__(
-            self, "alice_pvms", _freeze_pvms(self.alice_pvms, 3, self.d, self.dA, "alice_pvms")
-        )
-        object.__setattr__(
-            self, "bob_pvms", _freeze_pvms(self.bob_pvms, 4, self.d, self.dB, "bob_pvms")
-        )
+        nx, ny = self.questions
+        for what, nq, dim in (("alice_pvms", nx, self.dA), ("bob_pvms", ny, self.dB)):
+            pvms = finite_array(getattr(self, what), complex, what)
+            if pvms.shape != (nq, self.d, dim, dim):
+                raise ShapeMismatchError(
+                    f"{what} must have shape {(nq, self.d, dim, dim)} "
+                    f"(questions, answers, {dim}x{dim} projectors), got {pvms.shape}"
+                )
+            object.__setattr__(self, what, pvms)
 
 
 @dataclass(frozen=True)
-class ChshStrategy:
+class ChshStrategy(QuantumStrategy):
     """Two-question, two-outcome strategy, as produced by the CHSH reductions."""
 
-    dA: int
-    dB: int
-    state: np.ndarray
-    alice_pvms: tuple[tuple[np.ndarray, ...], ...]
-    bob_pvms: tuple[tuple[np.ndarray, ...], ...]
     d: int = field(default=2, init=False)
-
-    def __post_init__(self):
-        state = np.array(self.state, dtype=complex).reshape(-1)
-        if state.shape != (self.dA * self.dB,):
-            raise ShapeMismatchError(
-                f"state must have length dA*dB={self.dA * self.dB}, got {state.shape[0]}"
-            )
-        state.flags.writeable = False
-        object.__setattr__(self, "state", state)
-        object.__setattr__(
-            self, "alice_pvms", _freeze_pvms(self.alice_pvms, 2, 2, self.dA, "alice_pvms")
-        )
-        object.__setattr__(
-            self, "bob_pvms", _freeze_pvms(self.bob_pvms, 2, 2, self.dB, "bob_pvms")
-        )
-
-
-def _freeze_pvms(pvms, n_questions: int, n_answers: int, dim: int, what: str):
-    if len(pvms) != n_questions:
-        raise ShapeMismatchError(f"{what} must list {n_questions} measurements, got {len(pvms)}")
-    out = []
-    for q, pvm in enumerate(pvms):
-        if len(pvm) != n_answers:
-            raise ShapeMismatchError(
-                f"{what}[{q}] must list {n_answers} projectors, got {len(pvm)}"
-            )
-        out.append(tuple(_frozen_matrix(p, dim, f"{what}[{q}][{a}]") for a, p in enumerate(pvm)))
-    return tuple(out)
+    questions: ClassVar[tuple[int, int]] = (2, 2)
 
 
 @dataclass(frozen=True)
@@ -216,6 +196,14 @@ def no_signaling_residual(p: Correlation) -> float:
     return float(max(res_a, res_b))
 
 
+def _flagged(kind: str, prefix: tuple, magnitudes: np.ndarray, tol: float) -> list[Violation]:
+    """One violation per entry of ``magnitudes`` above ``tol``, located by its index."""
+    return [
+        Violation(kind, prefix + tuple(int(i) for i in idx), float(magnitudes[idx]))
+        for idx in zip(*np.nonzero(magnitudes > tol))
+    ]
+
+
 def validate_correlation(
     p: Correlation,
     tol: float = VALIDATION_TOL,
@@ -236,71 +224,39 @@ def validate_correlation(
     """
     if check_no_signaling is None:
         check_no_signaling = p.quantum_generated
-    violations: list[Violation] = []
     table = p.table
-
-    for idx in zip(*np.nonzero(table < -tol)):
-        violations.append(Violation("negative_entry", tuple(int(i) for i in idx), float(-table[idx])))
-    for idx in zip(*np.nonzero(table > 1 + tol)):
-        violations.append(
-            Violation("entry_above_one", tuple(int(i) for i in idx), float(table[idx] - 1))
-        )
-
-    sums = table.sum(axis=(2, 3))
-    for x in range(p.nx):
-        for y in range(p.ny):
-            defect = abs(sums[x, y] - 1.0)
-            if defect > tol:
-                violations.append(Violation("normalization", (x, y), float(defect)))
-
+    violations = _flagged("negative_entry", (), -table, tol)
+    violations += _flagged("entry_above_one", (), table - 1, tol)
+    violations += _flagged("normalization", (), np.abs(table.sum(axis=(2, 3)) - 1.0), tol)
     if check_no_signaling:
-        alice = table.sum(axis=3)
-        for x in range(p.nx):
-            spread = alice[x].max(axis=0) - alice[x].min(axis=0)
-            for a in np.nonzero(spread > tol)[0]:
-                violations.append(
-                    Violation("no_signaling_alice", (x, int(a)), float(spread[a]))
-                )
-        bob = table.sum(axis=2)
-        for y in range(p.ny):
-            spread = bob[:, y].max(axis=0) - bob[:, y].min(axis=0)
-            for b in np.nonzero(spread > tol)[0]:
-                violations.append(Violation("no_signaling_bob", (y, int(b)), float(spread[b])))
-
+        alice = table.sum(axis=3)  # [x, y, a]: spread over y for each (x, a)
+        bob = table.sum(axis=2)  # [x, y, b]: spread over x for each (y, b)
+        violations += _flagged("no_signaling_alice", (), alice.max(axis=1) - alice.min(axis=1), tol)
+        violations += _flagged("no_signaling_bob", (), bob.max(axis=0) - bob.min(axis=0), tol)
     return ValidationReport(tuple(violations))
 
 
-def validate_strategy(s: QuantumStrategy | ChshStrategy, tol: float = VALIDATION_TOL) -> ValidationReport:
+def validate_strategy(s: QuantumStrategy, tol: float = VALIDATION_TOL) -> ValidationReport:
     """Check that a strategy's state is normalized and its measurements are PVMs.
 
     Projector defects are measured in Frobenius norm: ``P^2 - P``, ``P - P†``,
     pairwise products ``P_i P_j`` and the completeness defect ``sum(P) - I``.
     """
-    violations: list[Violation] = []
     norm_defect = abs(float(np.linalg.norm(s.state)) - 1.0)
-    if norm_defect > tol:
-        violations.append(Violation("state_norm", (), norm_defect))
+    violations = [Violation("state_norm", (), norm_defect)] if norm_defect > tol else []
 
-    for party, pvms, dim in (("alice", s.alice_pvms, s.dA), ("bob", s.bob_pvms, s.dB)):
-        eye = np.eye(dim)
-        for q, pvm in enumerate(pvms):
-            total = np.zeros((dim, dim), dtype=complex)
-            for a, proj in enumerate(pvm):
-                total = total + proj
-                herm = float(np.linalg.norm(proj - proj.conj().T))
-                if herm > tol:
-                    violations.append(Violation("projector_hermitian", (party, q, a), herm))
-                idem = float(np.linalg.norm(proj @ proj - proj))
-                if idem > tol:
-                    violations.append(Violation("projector_idempotent", (party, q, a), idem))
-            comp = float(np.linalg.norm(total - eye))
-            if comp > tol:
-                violations.append(Violation("pvm_completeness", (party, q), comp))
-            for a in range(len(pvm)):
-                for b in range(a + 1, len(pvm)):
-                    orth = float(np.linalg.norm(pvm[a] @ pvm[b]))
-                    if orth > tol:
-                        violations.append(Violation("pvm_orthogonality", (party, q, a, b), orth))
+    def frobenius(m: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(m, axis=(-2, -1))
+
+    for party, pvms in (("alice", s.alice_pvms), ("bob", s.bob_pvms)):
+        where = (party,)
+        herm = frobenius(pvms - pvms.conj().swapaxes(-1, -2))
+        violations += _flagged("projector_hermitian", where, herm, tol)
+        violations += _flagged("projector_idempotent", where, frobenius(pvms @ pvms - pvms), tol)
+        comp = frobenius(pvms.sum(axis=1) - np.eye(pvms.shape[-1]))
+        violations += _flagged("pvm_completeness", where, comp, tol)
+        products = frobenius(pvms[:, :, None] @ pvms[:, None])  # [q, a, b], kept for a < b
+        violations += _flagged("pvm_orthogonality", where, np.triu(products, 1), tol)
     return ValidationReport(tuple(violations))
 
 
@@ -309,9 +265,7 @@ def validate_strategy(s: QuantumStrategy | ChshStrategy, tol: float = VALIDATION
 # ---------------------------------------------------------------------------
 
 
-def correlation_from_quantum(
-    s: QuantumStrategy | ChshStrategy, *, imag_tol: float = IMAG_TOL
-) -> Correlation:
+def correlation_from_quantum(s: QuantumStrategy, *, imag_tol: float = IMAG_TOL) -> Correlation:
     """Born-rule table ``p(a, b | x, y) = <psi| PA_x^a (x) PB_y^b |psi>``.
 
     Raises:
@@ -319,22 +273,17 @@ def correlation_from_quantum(
             residue above ``imag_tol``.
     """
     psi = s.state.reshape(s.dA, s.dB)
-    nx, ny, d = len(s.alice_pvms), len(s.bob_pvms), s.d
-    table = np.empty((nx, ny, d, d))
-    worst_imag = 0.0
-    for x in range(nx):
-        for a in range(d):
-            # G[j, k] = <psi| (PA (x) |j><k|) |psi>, so p = sum(G * PB).
-            gram = psi.conj().T @ (s.alice_pvms[x][a] @ psi)
-            for y in range(ny):
-                for b in range(d):
-                    val = np.sum(gram * s.bob_pvms[y][b])
-                    worst_imag = max(worst_imag, abs(float(val.imag)))
-                    table[x, y, a, b] = float(val.real)
-    if worst_imag > imag_tol:
+    alice, bob = s.alice_pvms, s.bob_pvms
+    nx, ny, d = alice.shape[0], bob.shape[0], s.d
+    # G[x, a, j, k] = <psi| (PA_x^a (x) |j><k|) |psi>, so p = sum_jk G[j, k] PB[j, k].
+    gram = psi.conj().T @ (alice @ psi)
+    probs = gram.reshape(nx * d, -1) @ bob.reshape(ny * d, -1).T
+    worst_imag = float(np.abs(probs.imag).max())
+    if not worst_imag <= imag_tol:
         raise NumericalIntegrityError(
             f"Born probabilities carry imaginary residue {worst_imag:.3e} > {imag_tol:.3e}"
         )
+    table = probs.real.reshape(nx, d, ny, d).transpose(0, 2, 1, 3)
     return Correlation(d=d, table=table, quantum_generated=True)
 
 

@@ -23,6 +23,10 @@ Both are assembled from per-block two-outcome pieces:
   un-reduced labels, which is equivalent to using answer parities since a
   label and its mod-``d`` reduction share parity.
 
+Both pieces are the one two-outcome sign tensor :data:`CHSH_SIGNS` placed on
+the block's questions and answers by :func:`block_index`; block values are
+contractions with such tensors and the builders are sums of them.
+
 Answer pairs outside the blocks ("cross terms") are penalized with weight
 ``-epsilon``.  For odd ``d`` one answer per family sits outside every block;
 its diagonal probabilities earn a bonus instead, and by default
@@ -40,17 +44,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .correlations import Correlation, no_signaling_residual
+from .correlations import Correlation, finite_array, no_signaling_residual
 from .errors import InputError, ShapeMismatchError
 
+#: Alice and Bob questions of each block family (plain: False, primed: True),
+#: in relabelled order: ``f(0)=0, f(2)=1`` and ``g(2)=0, g(3)=1``.
+_FAMILY_QUESTIONS = {False: ((0, 1), (0, 1)), True: ((0, 2), (2, 3))}
+
 #: Questions carrying the plain blocks and the relabelled blocks, respectively.
-PLAIN_QUESTIONS = tuple(product((0, 1), (0, 1)))
-PRIMED_QUESTIONS = tuple(product((0, 2), (2, 3)))
+PLAIN_QUESTIONS = tuple(product(*_FAMILY_QUESTIONS[False]))
+PRIMED_QUESTIONS = tuple(product(*_FAMILY_QUESTIONS[True]))
+
+#: Two-outcome CHSH coefficients ``(-1)^(a + b + x*y)``, indexed ``[x, y, a, b]``.
+CHSH_SIGNS = np.multiply.outer([[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, 1.0]])
+CHSH_SIGNS.flags.writeable = False
 
 #: Bonus coefficient on the leftover diagonal for odd d (plain family).
 ODD_BONUS = math.sqrt(2.0) / 2.0
@@ -83,6 +96,61 @@ def block_answer_pairs(d: int, primed: bool = False) -> tuple[tuple[int, int], .
     if primed:
         return tuple(((2 * m + 1) % d, (2 * m + 2) % d) for m in range(d // 2))
     return tuple((2 * m, 2 * m + 1) for m in range(d // 2))
+
+
+def families(d: int) -> tuple[bool, ...]:
+    """Block families present at local dimension d: plain, plus primed for d > 2."""
+    return (False, True) if d > 2 else (False,)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: cached results are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def block_index(d: int, m: int, primed: bool = False) -> tuple[np.ndarray, ...]:
+    """Index ``[x, y, a, b]`` selecting block m's 2x2x2x2 sub-table.
+
+    Questions come in relabelled order; answers are ordered by their label's
+    parity, i.e. by the block's outcome bit (for primed blocks the label
+    ``2m+2 mod d`` comes first).
+    """
+    xs, ys = _FAMILY_QUESTIONS[primed]
+    u, v = block_answer_pairs(d, primed)[m]
+    bits = (v, u) if primed else (u, v)
+    return _read_only(*np.ix_(xs, ys, bits, bits))
+
+
+@lru_cache(maxsize=None)
+def leftover_index(d: int, primed: bool = False) -> tuple[np.ndarray, ...]:
+    """Index of the odd-d leftover diagonal of a family: ``(d-1, d-1)`` plain, ``(0, 0)`` primed."""
+    xs, ys = _FAMILY_QUESTIONS[primed]
+    r = 0 if primed else d - 1
+    return _read_only(*np.ix_(xs, ys, (r,), (r,)))
+
+
+@lru_cache(maxsize=None)
+def _block_tensors(d: int, m: int, primed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient tensors ``(signs, marginal)`` of block m in the full scenario.
+
+    ``signs`` holds the block's CHSH pattern; ``marginal`` is
+    ``p(u | x=0) - p(v | x=0)`` for the block's answers ``(u, v)``, read from
+    the ``y = 0`` column.
+    """
+    signs, marginal = np.zeros((2, 3, 4, d, d))
+    signs[block_index(d, m, primed)] = CHSH_SIGNS
+    u, v = block_answer_pairs(d, primed)[m]
+    marginal[0, 0, u], marginal[0, 0, v] = 1.0, -1.0
+    return _read_only(signs, marginal)
+
+
+def _contract(coeff: np.ndarray, p: Correlation) -> float:
+    """Inner product of a full-scenario tensor with ``p`` on the questions both cover."""
+    table = p.table[:3, :4]
+    return float(np.tensordot(coeff[: table.shape[0], : table.shape[1]], table, axes=4))
 
 
 def quantum_bound(d: int) -> float:
@@ -119,20 +187,25 @@ def _check_block(d: int, m: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _block_value(p: Correlation, m: int, primed: bool, alpha: float = 0.0) -> float:
+    _check_full_scenario(p, need_primed=primed)
+    _check_block(p.d, m)
+    signs, marginal = _block_tensors(p.d, m, primed)
+    return _contract(signs + alpha * marginal, p)
+
+
+def _check_alpha(alpha: float) -> float:
+    if not -2.0 < alpha < 2.0:
+        raise InputError(f"tilt parameter must satisfy |alpha| < 2, got {alpha}")
+    return alpha
+
+
 def chsh_m_value(p: Correlation, m: int) -> float:
     """Value of the block functional CHSH_m on ``p``.
 
     ``sum_{x,y in {0,1}} sum_{a,b in {2m, 2m+1}} (-1)^(a + b + x*y) p(a,b|x,y)``.
     """
-    _check_full_scenario(p, need_primed=False)
-    _check_block(p.d, m)
-    total = 0.0
-    for x, y in PLAIN_QUESTIONS:
-        for a in (2 * m, 2 * m + 1):
-            for b in (2 * m, 2 * m + 1):
-                sign = -1.0 if (a + b + x * y) % 2 else 1.0
-                total += sign * p.table[x, y, a, b]
-    return float(total)
+    return _block_value(p, m, primed=False)
 
 
 def chsh_prime_m_value(p: Correlation, m: int) -> float:
@@ -141,17 +214,7 @@ def chsh_prime_m_value(p: Correlation, m: int) -> float:
     Labels ``2m+1, 2m+2`` keep their parity in the sign exponent; the observed
     answers are the labels reduced mod d.
     """
-    _check_full_scenario(p, need_primed=True)
-    _check_block(p.d, m)
-    d = p.d
-    total = 0.0
-    for x, y in PRIMED_QUESTIONS:
-        fx, gy = x // 2, y - 2
-        for la in (2 * m + 1, 2 * m + 2):
-            for lb in (2 * m + 1, 2 * m + 2):
-                sign = -1.0 if (la + lb + fx * gy) % 2 else 1.0
-                total += sign * p.table[x, y, la % d, lb % d]
-    return float(total)
+    return _block_value(p, m, primed=True)
 
 
 def tchsh_m_value(p: Correlation, m: int, alpha: float) -> float:
@@ -161,27 +224,39 @@ def tchsh_m_value(p: Correlation, m: int, alpha: float) -> float:
     no-signaling correlations.  ``alpha`` may be negative; its sign selects
     which of the two block answers the marginal term rewards.
     """
-    if not -2.0 < alpha < 2.0:
-        raise InputError(f"tilt parameter must satisfy |alpha| < 2, got {alpha}")
-    _check_block(p.d, m)
-    marg = p.table[0, 0, 2 * m, :].sum() - p.table[0, 0, 2 * m + 1, :].sum()
-    return alpha * float(marg) + chsh_m_value(p, m)
+    return _block_value(p, m, False, _check_alpha(alpha))
 
 
 def tchsh_prime_m_value(p: Correlation, m: int, alpha: float) -> float:
     """Tilted relabelled block value; marginal answers are ``2m+1`` and ``2m+2 mod d``."""
-    if not -2.0 < alpha < 2.0:
-        raise InputError(f"tilt parameter must satisfy |alpha| < 2, got {alpha}")
-    _check_block(p.d, m)
-    d = p.d
-    u, v = (2 * m + 1) % d, (2 * m + 2) % d
-    marg = p.table[0, 0, u, :].sum() - p.table[0, 0, v, :].sum()
-    return alpha * float(marg) + chsh_prime_m_value(p, m)
+    return _block_value(p, m, True, _check_alpha(alpha))
 
 
 # ---------------------------------------------------------------------------
 # cross terms
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _cross_masks(d: int, mode: CrossDiagonalMode) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only boolean ``[x, y, a, b]`` masks of the penalized sets ``C`` and ``C'``.
+
+    Each covers its family's questions and the answer pairs outside every
+    block of that family; in EXCLUDE mode (odd d only) the leftover diagonal
+    pairs ``(d-1, d-1)`` and ``(0, 0)`` are dropped from ``C`` and ``C'``.
+    """
+    _check_d(d)
+    masks = []
+    for primed in (False, True):
+        mask = np.zeros((3, 4, d, d), dtype=bool)
+        mask[np.ix_(*_FAMILY_QUESTIONS[primed])] = True
+        for m in range(n_blocks(d)):
+            mask[block_index(d, m, primed)] = False
+        if d % 2 == 1 and mode is CrossDiagonalMode.EXCLUDE:
+            mask[leftover_index(d, primed)] = False
+        mask.flags.writeable = False
+        masks.append(mask)
+    return masks[0], masks[1]
 
 
 def cross_sets(
@@ -194,18 +269,10 @@ def cross_sets(
     block.  In EXCLUDE mode (odd d only) the leftover diagonal pairs
     ``(d-1, d-1)`` and ``(0, 0)`` are dropped from ``C`` and ``C'``.
     """
-    _check_d(d)
-    plain_pairs = {(a, a + 1) for a, _ in block_answer_pairs(d)}
-    in_plain = {(a, b) for lo, hi in block_answer_pairs(d) for a in (lo, hi) for b in (lo, hi)}
-    in_primed = {(a, b) for u, v in block_answer_pairs(d, primed=True) for a in (u, v) for b in (u, v)}
-    cross_plain = {(a, b) for a in range(d) for b in range(d) if (a, b) not in in_plain}
-    cross_primed = {(a, b) for a in range(d) for b in range(d) if (a, b) not in in_primed}
-    if d % 2 == 1 and mode is CrossDiagonalMode.EXCLUDE:
-        cross_plain.discard((d - 1, d - 1))
-        cross_primed.discard((0, 0))
-    c = frozenset((a, b, x, y) for (a, b) in cross_plain for x, y in PLAIN_QUESTIONS)
-    c_prime = frozenset((a, b, x, y) for (a, b) in cross_primed for x, y in PRIMED_QUESTIONS)
-    return c, c_prime
+    return tuple(
+        frozenset((int(a), int(b), int(x), int(y)) for x, y, a, b in zip(*np.nonzero(mask)))
+        for mask in _cross_masks(d, mode)
+    )
 
 
 def cross_value(
@@ -217,9 +284,7 @@ def cross_value(
     if which not in ("C", "Cprime"):
         raise InputError(f"cross set selector must be 'C' or 'Cprime', got {which!r}")
     _check_full_scenario(p, need_primed=which == "Cprime")
-    c, c_prime = cross_sets(p.d, mode)
-    chosen = c if which == "C" else c_prime
-    return float(sum(p.table[x, y, a, b] for (a, b, x, y) in chosen))
+    return _contract(_cross_masks(p.d, mode)[which == "Cprime"], p)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +383,11 @@ class BellFunctional:
     tilted_spec: TiltedSpec | None = None
 
     def __post_init__(self):
-        coeff = np.array(self.coeff, dtype=float)
+        coeff = finite_array(self.coeff, float, "coefficient tensor")
         if coeff.shape != (3, 4, self.d, self.d):
             raise ShapeMismatchError(
                 f"coefficient tensor must have shape (3, 4, {self.d}, {self.d}), got {coeff.shape}"
             )
-        coeff.flags.writeable = False
         object.__setattr__(self, "coeff", coeff)
 
 
@@ -335,35 +399,29 @@ def _check_epsilon(epsilon: float, allow_zero_epsilon: bool) -> None:
         )
 
 
-def _add_block_terms(coeff: np.ndarray, d: int) -> None:
-    """Plain-block CHSH signs on questions {0,1}^2."""
-    for m in range(d // 2):
-        for x, y in PLAIN_QUESTIONS:
-            for a in (2 * m, 2 * m + 1):
-                for b in (2 * m, 2 * m + 1):
-                    coeff[x, y, a, b] += -1.0 if (a + b + x * y) % 2 else 1.0
+def _assemble(
+    d: int,
+    blocks: list[tuple[bool, int, float, float]],
+    epsilon: float,
+    mode: CrossDiagonalMode,
+    bonus: float,
+) -> np.ndarray:
+    """Coefficient tensor from ``(primed, m, scale, alpha)`` block terms.
 
-
-def _add_primed_block_terms(coeff: np.ndarray, d: int) -> None:
-    for m in range(d // 2):
-        for x, y in PRIMED_QUESTIONS:
-            fx, gy = x // 2, y - 2
-            for la in (2 * m + 1, 2 * m + 2):
-                for lb in (2 * m + 1, 2 * m + 2):
-                    coeff[x, y, la % d, lb % d] += -1.0 if (la + lb + fx * gy) % 2 else 1.0
-
-
-def _add_cross_and_bonus(
-    coeff: np.ndarray, d: int, epsilon: float, mode: CrossDiagonalMode, bonus: float
-) -> None:
-    c, c_prime = cross_sets(d, mode)
-    for a, b, x, y in c | c_prime:
-        coeff[x, y, a, b] -= epsilon
+    ``blocks`` lists plain blocks before primed ones.  Each entry takes at
+    most one term of each kind, in the fixed order block sign, plain marginal,
+    primed marginal, ``-epsilon``, bonus, so the tensor is reproducible bit for
+    bit: exact classical values and their argmax ties depend on it.
+    """
+    coeff = sum(scale * _block_tensors(d, m, primed)[0] for primed, m, scale, _ in blocks)
+    for primed, m, scale, alpha in blocks:
+        coeff += scale * alpha * _block_tensors(d, m, primed)[1]
+    c, c_prime = _cross_masks(d, mode)
+    coeff -= epsilon * (c | c_prime)
     if d % 2 == 1:
-        for x, y in PLAIN_QUESTIONS:
-            coeff[x, y, d - 1, d - 1] += bonus
-        for x, y in PRIMED_QUESTIONS:
-            coeff[x, y, 0, 0] += bonus
+        coeff[leftover_index(d)] += bonus
+        coeff[leftover_index(d, primed=True)] += bonus
+    return coeff
 
 
 def build_maxent(
@@ -382,11 +440,8 @@ def build_maxent(
     """
     _check_d(d)
     _check_epsilon(epsilon, allow_zero_epsilon)
-    coeff = np.zeros((3, 4, d, d))
-    _add_block_terms(coeff, d)
-    if d > 2:
-        _add_primed_block_terms(coeff, d)
-    _add_cross_and_bonus(coeff, d, epsilon, mode, ODD_BONUS)
+    blocks = [(primed, m, 1.0, 0.0) for primed in families(d) for m in range(n_blocks(d))]
+    coeff = _assemble(d, blocks, epsilon, mode, ODD_BONUS)
     return BellFunctional(d=d, epsilon=float(epsilon), variant=Variant.MAXENT, mode=mode, coeff=coeff)
 
 
@@ -409,29 +464,12 @@ def build_tilted(
     spec = TiltedSpec.from_coefficients(c)
     d = spec.d
     _check_epsilon(epsilon, allow_zero_epsilon)
-    coeff = np.zeros((3, 4, d, d))
-    for m in range(d // 2):
-        scale = 1.0 / spec.i_alpha[m]
-        for x, y in PLAIN_QUESTIONS:
-            for a in (2 * m, 2 * m + 1):
-                for b in (2 * m, 2 * m + 1):
-                    sign = -1.0 if (a + b + x * y) % 2 else 1.0
-                    coeff[x, y, a, b] += scale * sign
-        # Marginal tilt, realized through the y = 0 column.
-        coeff[0, 0, 2 * m, :] += scale * spec.alpha[m]
-        coeff[0, 0, 2 * m + 1, :] -= scale * spec.alpha[m]
+    blocks = [(False, m, 1.0 / spec.i_alpha[m], spec.alpha[m]) for m in range(n_blocks(d))]
     if d > 2:
-        for m in range(d // 2):
-            scale = 1.0 / spec.i_alpha_prime[m]
-            for x, y in PRIMED_QUESTIONS:
-                fx, gy = x // 2, y - 2
-                for la in (2 * m + 1, 2 * m + 2):
-                    for lb in (2 * m + 1, 2 * m + 2):
-                        sign = -1.0 if (la + lb + fx * gy) % 2 else 1.0
-                        coeff[x, y, la % d, lb % d] += scale * sign
-            coeff[0, 0, (2 * m + 1) % d, :] += scale * spec.alpha_prime[m]
-            coeff[0, 0, (2 * m + 2) % d, :] -= scale * spec.alpha_prime[m]
-    _add_cross_and_bonus(coeff, d, epsilon, mode, 0.25)
+        blocks += [
+            (True, m, 1.0 / spec.i_alpha_prime[m], spec.alpha_prime[m]) for m in range(n_blocks(d))
+        ]
+    coeff = _assemble(d, blocks, epsilon, mode, 0.25)
     return BellFunctional(
         d=d,
         epsilon=float(epsilon),

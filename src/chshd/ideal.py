@@ -47,46 +47,33 @@ def embed_pair(d: int, pair: tuple[int, int], block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_projector(d: int, i: int) -> np.ndarray:
-    out = np.zeros((d, d), dtype=complex)
-    out[i, i] = 1.0
-    return out
+def _blockwise_pvm(d: int, primed: bool, mu_of_block: Sequence[float]) -> np.ndarray:
+    """PVM ``(d, d, d)`` assigning each block's +1/-1 eigenprojectors to its two answers.
 
-
-def _blockwise_pvm(
-    d: int,
-    primed: bool,
-    mu_of_block: Sequence[float],
-    leftover: int | None,
-) -> tuple[np.ndarray, ...]:
-    """PVM assigning each block's +1/-1 eigenprojectors to its two answers."""
-    projectors: list[np.ndarray | None] = [None] * d
-    for m, pair in enumerate(block_answer_pairs(d, primed=primed)):
-        plus, minus = pair_projectors(mu_of_block[m])
-        projectors[pair[0]] = embed_pair(d, pair, plus)
-        projectors[pair[1]] = embed_pair(d, pair, minus)
-    if leftover is not None:
-        projectors[leftover] = _basis_projector(d, leftover)
-    assert all(p is not None for p in projectors)
-    return tuple(projectors)  # type: ignore[arg-type]
+    For odd d the family's leftover answer gets its basis projector.
+    """
+    pvm = np.zeros((d, d, d), dtype=complex)
+    for pair, mu in zip(block_answer_pairs(d, primed=primed), mu_of_block):
+        pvm[list(pair)] = [embed_pair(d, pair, proj) for proj in pair_projectors(mu)]
+    if d % 2 == 1:
+        leftover = 0 if primed else d - 1
+        pvm[leftover, leftover, leftover] = 1.0
+    return pvm
 
 
 def _assemble_strategy(d: int, state: np.ndarray, mu, mu_prime) -> QuantumStrategy:
-    odd = d % 2 == 1
-    plain_leftover = d - 1 if odd else None
-    primed_leftover = 0 if odd else None
     blocks = n_blocks(d)
-    alice = (
-        _blockwise_pvm(d, False, [0.0] * blocks, plain_leftover),  # computational basis
-        _blockwise_pvm(d, False, [math.pi / 2] * blocks, plain_leftover),  # sigma_X per block
-        _blockwise_pvm(d, True, [math.pi / 2] * blocks, primed_leftover),
-    )
-    bob = (
-        _blockwise_pvm(d, False, list(mu), plain_leftover),
-        _blockwise_pvm(d, False, [-v for v in mu], plain_leftover),
-        _blockwise_pvm(d, True, list(mu_prime), primed_leftover),
-        _blockwise_pvm(d, True, [-v for v in mu_prime], primed_leftover),
-    )
+    alice = [
+        _blockwise_pvm(d, False, [0.0] * blocks),  # computational basis
+        _blockwise_pvm(d, False, [math.pi / 2] * blocks),  # sigma_X per block
+        _blockwise_pvm(d, True, [math.pi / 2] * blocks),
+    ]
+    bob = [
+        _blockwise_pvm(d, False, list(mu)),
+        _blockwise_pvm(d, False, [-v for v in mu]),
+        _blockwise_pvm(d, True, list(mu_prime)),
+        _blockwise_pvm(d, True, [-v for v in mu_prime]),
+    ]
     return QuantumStrategy(d=d, dA=d, dB=d, state=state, alice_pvms=alice, bob_pvms=bob)
 
 

@@ -43,7 +43,7 @@ from .correlations import (
     correlation_from_quantum,
 )
 from .errors import InputError
-from .functionals import BellFunctional, Variant, chsh_m_value
+from .functionals import CHSH_SIGNS, BellFunctional, Variant, chsh_m_value
 from .ideal import ideal_maxent_strategy, ideal_tilted_strategy
 
 #: Slack allowed on trajectory monotonicity (round-off only).
@@ -111,17 +111,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _basis_pvm(dim: int, n_answers: int) -> list[np.ndarray]:
-    """Computational-basis PVM; the last answer absorbs any extra dimensions."""
-    sizes = [1] * (n_answers - 1) + [dim - n_answers + 1]
-    pvm, start = [], 0
-    for size in sizes:
-        proj = np.zeros((dim, dim), dtype=complex)
-        for k in range(start, start + size):
-            proj[k, k] = 1.0
-        pvm.append(proj)
-        start += size
-    return pvm
+def _basis_pvm(dim: int, n_answers: int) -> np.ndarray:
+    """Computational-basis PVM ``(n_answers, dim, dim)``; the last answer absorbs extra dimensions."""
+    labels = np.minimum(np.arange(dim), n_answers - 1)
+    return np.eye(dim, dtype=complex) * (labels == np.arange(n_answers)[:, None, None])
 
 
 def random_strategy(
@@ -133,12 +126,12 @@ def random_strategy(
     if dA < d or dB < d:
         raise InputError(f"local dimensions must be at least d={d}, got dA={dA}, dB={dB}")
 
-    def rotated(dim: int) -> tuple[np.ndarray, ...]:
+    def rotated(dim: int) -> np.ndarray:
         u = haar_unitary(dim, rng)
-        return tuple(u @ p @ u.conj().T for p in _basis_pvm(dim, d))
+        return u @ _basis_pvm(dim, d) @ u.conj().T
 
-    alice = tuple(rotated(dA) for _ in range(3))
-    bob = tuple(rotated(dB) for _ in range(4))
+    alice = [rotated(dA) for _ in range(3)]
+    bob = [rotated(dB) for _ in range(4)]
     state = rng.standard_normal(dA * dB) + 1j * rng.standard_normal(dA * dB)
     state /= np.linalg.norm(state)
     return QuantumStrategy(d=d, dA=dA, dB=dB, state=state, alice_pvms=alice, bob_pvms=bob)
@@ -158,12 +151,9 @@ def _perturbed_ideal(f: BellFunctional, noise: float, rng: np.random.Generator) 
         else ideal_maxent_strategy(f.d)
     )
 
-    def jiggle(pvms, dim):
-        out = []
-        for pvm in pvms:
-            u = _perturbation_unitary(dim, noise, rng)
-            out.append(tuple(u @ p @ u.conj().T for p in pvm))
-        return tuple(out)
+    def jiggle(pvms: np.ndarray, dim: int) -> np.ndarray:
+        u = np.stack([_perturbation_unitary(dim, noise, rng) for _ in pvms])[:, None]
+        return u @ pvms @ u.conj().swapaxes(-1, -2)
 
     state = base.state + noise * (
         rng.standard_normal(base.state.shape) + 1j * rng.standard_normal(base.state.shape)
@@ -182,34 +172,24 @@ def _perturbed_ideal(f: BellFunctional, noise: float, rng: np.random.Generator) 
 # ---------------------------------------------------------------------------
 # operator assembly and exact coordinate steps
 # ---------------------------------------------------------------------------
+#
+# ``alice`` (3, d, dA, dA) and ``bob`` (4, d, dB, dB) are stacked PVMs.  With
+# ``W[x, a] = sum_{y,b} coeff[x,y,a,b] PB_y^b`` the Bell operator is
+# ``sum_{x,a} PA_x^a (x) W[x, a]``, and for the state matrix ``psi`` (dA, dB)
+# the objective is ``sum_{x,a} Tr[PA_x^a psi W[x,a]^T psi^dag]``; Bob's side
+# is the same with ``psi^T`` and ``V[y, b] = sum_{x,a} coeff[x,y,a,b] PA_x^a``.
 
 
 def bell_operator_matrix(f: BellFunctional, s: QuantumStrategy) -> np.ndarray:
     """Hermitian matrix ``sum coeff[x,y,a,b] PA_x^a (x) PB_y^b`` on C^dA (x) C^dB."""
     if s.d != f.d:
         raise InputError(f"dimension mismatch: functional d={f.d}, strategy d={s.d}")
-    return _operator(f.coeff, s.alice_pvms, s.bob_pvms, s.dA, s.dB)
+    return _operator(s.alice_pvms, np.tensordot(f.coeff, s.bob_pvms, axes=([1, 3], [0, 1])))
 
 
-def _operator(coeff, alice, bob, dA, dB) -> np.ndarray:
-    d = coeff.shape[2]
-    m = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for x in range(3):
-        for a in range(d):
-            w = _bob_gain_operator(coeff, bob, x, a, dB)
-            if np.any(w):
-                m += np.kron(alice[x][a], w)
-    return m
-
-
-def _bob_gain_operator(coeff, bob, x: int, a: int, dB: int) -> np.ndarray:
-    w = np.zeros((dB, dB), dtype=complex)
-    for y in range(coeff.shape[1]):
-        for b in range(coeff.shape[3]):
-            c = coeff[x, y, a, b]
-            if c:
-                w += c * bob[y][b]
-    return w
+def _operator(alice: np.ndarray, w: np.ndarray) -> np.ndarray:
+    dim = alice.shape[-1] * w.shape[-1]
+    return np.einsum("xaij,xakl->ikjl", alice, w).reshape(dim, dim)
 
 
 def principal_eigenvector(
@@ -233,30 +213,13 @@ def principal_eigenvector(
     return vecs[:, -1], top
 
 
-def _alice_gains(coeff, psi_mat, bob, x: int, dB: int) -> list[np.ndarray]:
-    """Hermitian matrices L with objective contribution Tr[PA_x^a L_a]."""
-    gains = []
-    for a in range(coeff.shape[2]):
-        w = _bob_gain_operator(coeff, bob, x, a, dB)
-        gains.append(psi_mat @ w.T @ psi_mat.conj().T)
-    return gains
+def _gains(psi_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hermitian ``psi W^T psi^dag`` per question and answer: the objective is ``sum Tr[P L]``."""
+    return psi_mat @ w.swapaxes(-1, -2) @ psi_mat.conj().T
 
 
-def _bob_gains(coeff, psi_mat, alice, y: int, dA: int) -> list[np.ndarray]:
-    gains = []
-    for b in range(coeff.shape[3]):
-        w = np.zeros((dA, dA), dtype=complex)
-        for x in range(3):
-            for a in range(coeff.shape[2]):
-                c = coeff[x, y, a, b]
-                if c:
-                    w += c * alice[x][a]
-        gains.append(psi_mat.T @ w.T @ psi_mat.conj())
-    return gains
-
-
-def _pair_ascent(pvm: list[np.ndarray], gains: list[np.ndarray], tol: float) -> None:
-    """Coordinate ascent over projector pairs for one question, in place."""
+def _pair_ascent(pvm: np.ndarray, gains: np.ndarray, tol: float) -> None:
+    """Coordinate ascent over projector pairs of one question's ``(d, dim, dim)`` PVM, in place."""
     d = len(pvm)
     for _ in range(_PAIR_PASSES):
         pass_gain = 0.0
@@ -286,14 +249,6 @@ def _pair_value(proj: np.ndarray, gain: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", proj, gain).real)
 
 
-def _objective(coeff, psi_mat, alice, bob, dB) -> float:
-    total = 0.0
-    for x in range(3):
-        for a, gain in enumerate(_alice_gains(coeff, psi_mat, bob, x, dB)):
-            total += _pair_value(alice[x][a], gain)
-    return total
-
-
 def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawResult:
     """Alternating-ascent maximization of ``f`` over states and PVMs.
 
@@ -319,21 +274,21 @@ def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawRe
             start = random_strategy(f.d, rng, dA, dB)
         else:
             start = _perturbed_ideal(f, config.init_noise, rng)
-        alice = [[np.array(p) for p in pvm] for pvm in start.alice_pvms]
-        bob = [[np.array(p) for p in pvm] for pvm in start.bob_pvms]
+        alice, bob = np.array(start.alice_pvms), np.array(start.bob_pvms)
         psi = np.array(start.state)
 
         trajectory: list[float] = []
         converged = False
         for _ in range(config.max_iters):
-            operator = _operator(f.coeff, alice, bob, dA, dB)
-            psi, _ = principal_eigenvector(operator)
+            w = np.tensordot(f.coeff, bob, axes=([1, 3], [0, 1]))
+            psi, _ = principal_eigenvector(_operator(alice, w))
             psi_mat = psi.reshape(dA, dB)
-            for x in range(3):
-                _pair_ascent(alice[x], _alice_gains(f.coeff, psi_mat, bob, x, dB), config.convergence_tol)
-            for y in range(4):
-                _pair_ascent(bob[y], _bob_gains(f.coeff, psi_mat, alice, y, dA), config.convergence_tol)
-            value = _objective(f.coeff, psi_mat, alice, bob, dB)
+            for pvm, gains in zip(alice, _gains(psi_mat, w)):
+                _pair_ascent(pvm, gains, config.convergence_tol)
+            bob_gains = _gains(psi_mat.T, np.tensordot(f.coeff, alice, axes=([0, 2], [0, 1])))
+            for pvm, gains in zip(bob, bob_gains):
+                _pair_ascent(pvm, gains, config.convergence_tol)
+            value = float(np.einsum("ybij,ybji->", bob, bob_gains).real)
             trajectory.append(value)
             if len(trajectory) > 1 and abs(trajectory[-1] - trajectory[-2]) < config.convergence_tol:
                 converged = True
@@ -350,8 +305,8 @@ def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawRe
                 dA=dA,
                 dB=dB,
                 state=psi,
-                alice_pvms=tuple(tuple(p for p in pvm) for pvm in alice),
-                bob_pvms=tuple(tuple(p for p in pvm) for pvm in bob),
+                alice_pvms=alice,
+                bob_pvms=bob,
             )
 
     assert best_strategy is not None
@@ -379,10 +334,14 @@ def _check_sign_vector(d: int, o: Sequence[int]) -> tuple[int, ...]:
     return o
 
 
-def _merged_bit(a: int, o: tuple[int, ...]) -> int:
-    """Coarse outcome of paired answer ``a``: its parity, flipped by the block's sign bit."""
-    m = a // 2
-    return (a % 2) ^ (o[m - 1] if m >= 1 else 0)
+def _merged_bits(d: int, o: tuple[int, ...]) -> np.ndarray:
+    """Coarse outcome of each paired answer: its parity, flipped by its block's sign bit."""
+    return np.arange(2 * (d // 2)) % 2 ^ np.repeat((0,) + tuple(o), 2)
+
+
+def _coarse_pvms(pvms: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Two-outcome PVMs ``[x, t]`` on questions 0, 1 summing the answers with merged bit t."""
+    return np.stack([pvms[:2, : len(bits)][:, bits == t].sum(axis=1) for t in (0, 1)], axis=1)
 
 
 def chsh_value(s: ChshStrategy) -> float:
@@ -399,20 +358,13 @@ def chsh_reduction_even(s: QuantumStrategy, o: Sequence[int]) -> ChshStrategy:
     """
     if s.d % 2:
         raise InputError(f"even-d reduction requires even d, got {s.d}")
-    o = _check_sign_vector(s.d, o)
-
-    def merge(pvm, dim):
-        coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
-        for a in range(s.d):
-            coarse[_merged_bit(a, o)] += pvm[a]
-        return tuple(coarse)
-
+    bits = _merged_bits(s.d, _check_sign_vector(s.d, o))
     return ChshStrategy(
         dA=s.dA,
         dB=s.dB,
         state=s.state,
-        alice_pvms=tuple(merge(s.alice_pvms[x], s.dA) for x in (0, 1)),
-        bob_pvms=tuple(merge(s.bob_pvms[y], s.dB) for y in (0, 1)),
+        alice_pvms=_coarse_pvms(s.alice_pvms, bits),
+        bob_pvms=_coarse_pvms(s.bob_pvms, bits),
     )
 
 
@@ -426,17 +378,14 @@ def chsh_reduction_odd(s: QuantumStrategy, o: Sequence[int]) -> ChshStrategy:
     """
     if s.d % 2 == 0:
         raise InputError(f"odd-d reduction requires odd d, got {s.d}")
-    o = _check_sign_vector(s.d, o)
+    bits = _merged_bits(s.d, _check_sign_vector(s.d, o))
     qubit = ideal_maxent_strategy(2)
 
-    def lift(pvm, qubit_pvm, dim):
-        coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
-        for a in range(s.d - 1):
-            coarse[_merged_bit(a, o)] += pvm[a]
-        eye = np.eye(2)
-        return tuple(
-            np.kron(coarse[t], eye) + np.kron(pvm[s.d - 1], qubit_pvm[t]) for t in range(2)
-        )
+    def lift(pvms: np.ndarray, qubit_pvms: np.ndarray) -> np.ndarray:
+        dim = 2 * pvms.shape[-1]
+        merged = np.einsum("xtij,kl->xtikjl", _coarse_pvms(pvms, bits), np.eye(2))
+        routed = np.einsum("xij,xtkl->xtikjl", pvms[:2, -1], qubit_pvms[:2])
+        return (merged + routed).reshape(2, 2, dim, dim)
 
     epr = np.eye(2) / math.sqrt(2)
     psi_mat = np.kron(s.state.reshape(s.dA, s.dB), epr)
@@ -444,9 +393,15 @@ def chsh_reduction_odd(s: QuantumStrategy, o: Sequence[int]) -> ChshStrategy:
         dA=2 * s.dA,
         dB=2 * s.dB,
         state=psi_mat.reshape(-1),
-        alice_pvms=tuple(lift(s.alice_pvms[x], qubit.alice_pvms[x], s.dA) for x in (0, 1)),
-        bob_pvms=tuple(lift(s.bob_pvms[y], qubit.bob_pvms[y], s.dB) for y in (0, 1)),
+        alice_pvms=lift(s.alice_pvms, qubit.alice_pvms),
+        bob_pvms=lift(s.bob_pvms, qubit.bob_pvms),
     )
+
+
+def _cross_terms(p: Correlation, bits: np.ndarray) -> np.ndarray:
+    """Terms ``(-1)^(bit(a) + bit(b) + x*y) p(a, b | x, y)`` for x, y in {0, 1} and paired a, b."""
+    n = len(bits)
+    return CHSH_SIGNS[:, :, bits[:, None], bits] * p.table[:2, :2, :n, :n]
 
 
 def cross_contribution(p: Correlation, o: Sequence[int]) -> float:
@@ -457,18 +412,9 @@ def cross_contribution(p: Correlation, o: Sequence[int]) -> float:
     (the odd-d leftover answer is excluded: its contribution averages out
     against the EPR pair).
     """
-    o = _check_sign_vector(p.d, o)
-    paired = 2 * (p.d // 2)
-    total = 0.0
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in range(paired):
-                for b in range(paired):
-                    if a // 2 == b // 2:
-                        continue
-                    sign = -1.0 if (_merged_bit(a, o) + _merged_bit(b, o) + x * y) % 2 else 1.0
-                    total += sign * p.table[x, y, a, b]
-    return total
+    bits = _merged_bits(p.d, _check_sign_vector(p.d, o))
+    block = np.arange(len(bits)) // 2
+    return float(np.sum(_cross_terms(p, bits), where=block[:, None] != block))
 
 
 def greedy_sign_selection(s: QuantumStrategy) -> tuple[int, ...]:
@@ -479,18 +425,10 @@ def greedy_sign_selection(s: QuantumStrategy) -> tuple[int, ...]:
     option (ties resolve to 0) makes the total a sum of non-negative parts.
     """
     p = correlation_from_quantum(s)
-    d = s.d
-    n = d // 2
-    bits = [0] * n  # chosen coarse-flip bit per block
-    for m in range(1, n):
-        partial = 0.0
-        for x in (0, 1):
-            for y in (0, 1):
-                for m_prev in range(m):
-                    for a in (2 * m, 2 * m + 1):
-                        for b in (2 * m_prev, 2 * m_prev + 1):
-                            sign_ab = -1.0 if (a % 2) ^ bits[m] ^ (b % 2) ^ bits[m_prev] ^ (x * y % 2) else 1.0
-                            partial += sign_ab * (p.table[x, y, a, b] + p.table[x, y, b, a])
-        if partial < 0:
-            bits[m] = 1
-    return tuple(bits[1:])
+    o: tuple[int, ...] = ()
+    for m in range(1, s.d // 2):
+        # Merged bits of blocks 0..m, block m unflipped; rows/columns 2m, 2m+1 are block m.
+        terms = _cross_terms(p, _merged_bits(2 * m + 2, o + (0,)))
+        partial = terms[:, :, 2 * m :, : 2 * m].sum() + terms[:, :, : 2 * m, 2 * m :].sum()
+        o += (int(partial < 0),)
+    return o

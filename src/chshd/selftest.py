@@ -35,16 +35,16 @@ import numpy as np
 from .correlations import Correlation
 from .errors import CrossTermMassError, InputError, UndefinedBlockError
 from .functionals import (
-    PLAIN_QUESTIONS,
-    PRIMED_QUESTIONS,
     BellFunctional,
     CrossDiagonalMode,
     Variant,
-    block_answer_pairs,
+    block_index,
     chsh_m_value,
     chsh_prime_m_value,
     cross_value,
     evaluate,
+    families,
+    leftover_index,
     n_blocks,
     quantum_bound,
     tchsh_m_value,
@@ -87,10 +87,12 @@ class BlockWeights:
     consistency_residual: float
 
 
-def _block_mass(p: Correlation, pair: tuple[int, int], x: int, y: int) -> float:
-    u, v = pair
-    t = p.table
-    return float(t[x, y, u, u] + t[x, y, u, v] + t[x, y, v, u] + t[x, y, v, v])
+def _anchored_mass(p: Correlation, index: tuple, primed: bool) -> tuple[float, float]:
+    """Mass of ``p`` on a block's answers at the family's anchor questions, and
+    its largest deviation across the family's other question pairs."""
+    masses = p.table[index].sum(axis=(2, 3))  # [f(x), g(y)]
+    anchor = masses[1, 0] if primed else masses[0, 0]  # questions (2, 2) and (0, 0)
+    return float(anchor), float(np.abs(masses - anchor).max())
 
 
 def extract_block_weights(
@@ -109,39 +111,17 @@ def extract_block_weights(
     if not mass <= tol:
         raise CrossTermMassError(mass, tol)
     d = p.d
-    residual = 0.0
-
-    w = []
-    for pair in block_answer_pairs(d):
-        anchor = _block_mass(p, pair, 0, 0)
-        w.append(anchor)
-        for x, y in PLAIN_QUESTIONS:
-            residual = max(residual, abs(_block_mass(p, pair, x, y) - anchor))
-
-    w_prime = []
-    if d > 2:
-        for pair in block_answer_pairs(d, primed=True):
-            anchor = _block_mass(p, pair, 2, 2)
-            w_prime.append(anchor)
-            for x, y in PRIMED_QUESTIONS:
-                residual = max(residual, abs(_block_mass(p, pair, x, y) - anchor))
-
-    leftover = []
-    if d % 2:
-        anchor = float(p.table[0, 0, d - 1, d - 1])
-        leftover.append(anchor)
-        for x, y in PLAIN_QUESTIONS:
-            residual = max(residual, abs(float(p.table[x, y, d - 1, d - 1]) - anchor))
-        anchor = float(p.table[2, 2, 0, 0])
-        leftover.append(anchor)
-        for x, y in PRIMED_QUESTIONS:
-            residual = max(residual, abs(float(p.table[x, y, 0, 0]) - anchor))
-
+    blocks = {
+        primed: [_anchored_mass(p, block_index(d, m, primed), primed) for m in range(n_blocks(d))]
+        for primed in families(d)
+    }
+    w, w_prime = blocks[False], blocks.get(True, [])
+    leftover = [_anchored_mass(p, leftover_index(d, pr), pr) for pr in (False, True) if d % 2]
     return BlockWeights(
-        w=tuple(w),
-        w_prime=tuple(w_prime),
-        leftover=tuple(leftover),
-        consistency_residual=residual,
+        w=tuple(v for v, _ in w),
+        w_prime=tuple(v for v, _ in w_prime),
+        leftover=tuple(v for v, _ in leftover),
+        consistency_residual=max(r for _, r in w + w_prime + leftover),
     )
 
 
@@ -162,23 +142,14 @@ def block_correlation(
     d = p.d
     if not 0 <= m < n_blocks(d):
         raise InputError(f"block index m={m} out of range for d={d} (0..{n_blocks(d) - 1})")
-    pair = block_answer_pairs(d, primed=primed)[m]
-    anchor = (2, 2) if primed else (0, 0)
-    weight = _block_mass(p, pair, *anchor)
+    index = block_index(d, m, primed)
+    weight, _ = _anchored_mass(p, index, primed)
     if weight <= weight_tol:
         raise UndefinedBlockError(
             f"{'primed' if primed else 'plain'} block {m} carries weight {weight:.3e} "
             f"<= {weight_tol:.3e}; its renormalized correlation is undefined"
         )
-    questions = PRIMED_QUESTIONS if primed else PLAIN_QUESTIONS
-    labels = (2 * m + 1, 2 * m + 2) if primed else (2 * m, 2 * m + 1)
-    table = np.zeros((2, 2, 2, 2))
-    for x, y in questions:
-        xx, yy = (x // 2, y - 2) if primed else (x, y)
-        for la in labels:
-            for lb in labels:
-                table[xx, yy, la % 2, lb % 2] = p.table[x, y, la % d, lb % d] / weight
-    return Correlation(d=2, table=table, quantum_generated=p.quantum_generated)
+    return Correlation(d=2, table=p.table[index] / weight, quantum_generated=p.quantum_generated)
 
 
 @lru_cache(maxsize=1)
@@ -284,7 +255,7 @@ def _structural_report(
     checks.append(_check("block_weights_match", weight_dev, tol))
 
     block_dev = 0.0
-    for primed in (False, True) if d > 2 else (False,):
+    for primed in families(d):
         for m in range(n_blocks(d)):
             weight = (weights.w_prime if primed else weights.w)[m]
             if weight <= tol:

@@ -4,12 +4,15 @@ Conventions: complex scalars are encoded as two-element ``[real, imag]``
 lists, matrices as row-major nested lists, and enums by their string values.
 Objects that the package consumes (correlations, strategies, functionals)
 round-trip; reports and optimizer results serialize one-way for archival.
-Writes are atomic (temp file + rename) so readers never observe a partial
-artifact.
+Functionals and tilted specs are rebuilt from their generating parameters on
+load, and a file whose stored values disagree with the rebuilt ones is
+refused.  Writes are atomic (temp file + rename) so readers never observe a
+partial artifact, and NaN or infinity is never written, since it is not JSON.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -20,10 +23,20 @@ import numpy as np
 
 from .classical import ClassicalMaxResult
 from .correlations import Correlation, QuantumStrategy
-from .errors import InputError
-from .functionals import BellFunctional, CrossDiagonalMode, TiltedSpec, Variant
+from .errors import InputError, NumericalIntegrityError
+from .functionals import (
+    BellFunctional,
+    CrossDiagonalMode,
+    TiltedSpec,
+    Variant,
+    build_maxent,
+    build_tilted,
+)
 from .seesaw import SeesawResult
 from .selftest import BlockWeights, SelfTestReport
+
+#: Largest tolerated difference between a stored value and its rebuilt counterpart.
+REBUILD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -31,27 +44,28 @@ from .selftest import BlockWeights, SelfTestReport
 # ---------------------------------------------------------------------------
 
 
-def complex_matrix_to_lists(m: np.ndarray) -> list:
-    """Row-major nested lists of ``[real, imag]`` pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+def complex_to_lists(a: np.ndarray) -> list:
+    """Row-major nested lists of ``[real, imag]`` pairs, for an array of any rank."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def complex_from_lists(pairs: Any, rank: int, what: str) -> np.ndarray:
+    """Inverse of :func:`complex_to_lists` for an array of the given rank."""
+    try:
+        parts = np.array(pairs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed complex {what}: expected nested [re, im] pairs") from exc
+    if parts.ndim != rank + 1 or parts.shape[-1] != 2:
+        raise InputError(f"malformed complex {what}: expected rank-{rank} nested [re, im] pairs")
+    return parts.view(complex)[..., 0]
+
+
+complex_matrix_to_lists = complex_to_lists
 
 
 def complex_matrix_from_lists(rows: Any, what: str = "matrix") -> np.ndarray:
-    try:
-        return np.array([[complex(p[0], p[1]) for p in row] for row in rows])
-    except (TypeError, IndexError) as exc:
-        raise InputError(f"malformed complex {what}: expected nested [re, im] pairs") from exc
-
-
-def complex_vector_to_lists(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def complex_vector_from_lists(pairs: Any, what: str = "vector") -> np.ndarray:
-    try:
-        return np.array([complex(p[0], p[1]) for p in pairs])
-    except (TypeError, IndexError) as exc:
-        raise InputError(f"malformed complex {what}: expected [re, im] pairs") from exc
+    return complex_from_lists(rows, 2, what)
 
 
 def _require(doc: dict, key: str, what: str) -> Any:
@@ -77,7 +91,7 @@ def correlation_to_dict(p: Correlation) -> dict:
 def correlation_from_dict(doc: dict) -> Correlation:
     return Correlation(
         d=int(_require(doc, "d", "correlation")),
-        table=np.array(_require(doc, "table", "correlation"), dtype=float),
+        table=_require(doc, "table", "correlation"),
         quantum_generated=bool(doc.get("quantum_generated", False)),
     )
 
@@ -88,9 +102,9 @@ def strategy_to_dict(s: QuantumStrategy) -> dict:
         "d": s.d,
         "dA": s.dA,
         "dB": s.dB,
-        "state": complex_vector_to_lists(s.state),
-        "alice_pvms": [[complex_matrix_to_lists(p) for p in pvm] for pvm in s.alice_pvms],
-        "bob_pvms": [[complex_matrix_to_lists(p) for p in pvm] for pvm in s.bob_pvms],
+        "state": complex_to_lists(s.state),
+        "alice_pvms": complex_to_lists(s.alice_pvms),
+        "bob_pvms": complex_to_lists(s.bob_pvms),
     }
 
 
@@ -99,15 +113,9 @@ def strategy_from_dict(doc: dict) -> QuantumStrategy:
         d=int(_require(doc, "d", "strategy")),
         dA=int(_require(doc, "dA", "strategy")),
         dB=int(_require(doc, "dB", "strategy")),
-        state=complex_vector_from_lists(_require(doc, "state", "strategy"), "state"),
-        alice_pvms=tuple(
-            tuple(complex_matrix_from_lists(p, "projector") for p in pvm)
-            for pvm in _require(doc, "alice_pvms", "strategy")
-        ),
-        bob_pvms=tuple(
-            tuple(complex_matrix_from_lists(p, "projector") for p in pvm)
-            for pvm in _require(doc, "bob_pvms", "strategy")
-        ),
+        state=complex_from_lists(_require(doc, "state", "strategy"), 1, "state"),
+        alice_pvms=complex_from_lists(_require(doc, "alice_pvms", "strategy"), 4, "projectors"),
+        bob_pvms=complex_from_lists(_require(doc, "bob_pvms", "strategy"), 4, "projectors"),
     )
 
 
@@ -116,35 +124,34 @@ def strategy_from_dict(doc: dict) -> QuantumStrategy:
 # ---------------------------------------------------------------------------
 
 
+def _check_rebuilt(what: str, stored: Any, rebuilt: np.ndarray) -> None:
+    """Refuse a stored value that differs from its rebuilt counterpart by more than REBUILD_TOL."""
+    try:
+        stored = np.array(stored, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
+    rebuilt = np.asarray(rebuilt, dtype=float)
+    if stored.shape != rebuilt.shape:
+        raise InputError(f"stored {what} has shape {stored.shape}, rebuilt {rebuilt.shape}")
+    deviation = float(np.max(np.abs(stored - rebuilt), initial=0.0))
+    if not deviation <= REBUILD_TOL:
+        raise InputError(
+            f"stored {what} differs from the value rebuilt from its parameters by "
+            f"{deviation:.3e} > {REBUILD_TOL:.0e}; the file was edited or is corrupt"
+        )
+
+
 def tilted_spec_to_dict(spec: TiltedSpec) -> dict:
-    return {
-        "c": list(spec.c),
-        "theta": list(spec.theta),
-        "alpha": list(spec.alpha),
-        "i_alpha": list(spec.i_alpha),
-        "mu": list(spec.mu),
-        "theta_prime": list(spec.theta_prime),
-        "alpha_prime": list(spec.alpha_prime),
-        "i_alpha_prime": list(spec.i_alpha_prime),
-        "mu_prime": list(spec.mu_prime),
-    }
+    return {f.name: list(getattr(spec, f.name)) for f in dataclasses.fields(spec)}
 
 
 def tilted_spec_from_dict(doc: dict) -> TiltedSpec:
-    fields = {}
-    for key in (
-        "c",
-        "theta",
-        "alpha",
-        "i_alpha",
-        "mu",
-        "theta_prime",
-        "alpha_prime",
-        "i_alpha_prime",
-        "mu_prime",
-    ):
-        fields[key] = tuple(float(v) for v in _require(doc, key, "tilted spec"))
-    return TiltedSpec(**fields)
+    """Rebuild the spec from its coefficients ``c``; every stored field must agree."""
+    spec = TiltedSpec.from_coefficients(tuple(float(v) for v in _require(doc, "c", "tilted spec")))
+    for f in dataclasses.fields(spec):
+        stored = _require(doc, f.name, "tilted spec")
+        _check_rebuilt(f"tilted spec field {f.name!r}", stored, getattr(spec, f.name))
+    return spec
 
 
 def functional_to_dict(f: BellFunctional) -> dict:
@@ -160,15 +167,27 @@ def functional_to_dict(f: BellFunctional) -> dict:
 
 
 def functional_from_dict(doc: dict) -> BellFunctional:
-    spec_doc = doc.get("tilted_spec")
-    return BellFunctional(
-        d=int(_require(doc, "d", "functional")),
-        epsilon=float(_require(doc, "epsilon", "functional")),
-        variant=Variant(_require(doc, "variant", "functional")),
-        mode=CrossDiagonalMode(_require(doc, "mode", "functional")),
-        coeff=np.array(_require(doc, "coeff", "functional"), dtype=float),
-        tilted_spec=None if spec_doc is None else tilted_spec_from_dict(spec_doc),
-    )
+    """Rebuild the functional from ``d`` or the tilted spec, ``epsilon`` and ``mode``.
+
+    The stored ``coeff`` must agree with the rebuilt tensor; ``epsilon = 0``
+    is accepted, since a file can only hold it if it was built on purpose.
+    """
+    d = int(_require(doc, "d", "functional"))
+    epsilon = float(_require(doc, "epsilon", "functional"))
+    variant = Variant(_require(doc, "variant", "functional"))
+    mode = CrossDiagonalMode(_require(doc, "mode", "functional"))
+    coeff = _require(doc, "coeff", "functional")
+    if variant is Variant.TILTED:
+        spec = tilted_spec_from_dict(doc.get("tilted_spec") or {})
+        f = build_tilted(spec.c, epsilon, mode, allow_zero_epsilon=True)
+        if f.d != d:
+            raise InputError(f"malformed functional: d={d} but the tilted spec has d={f.d}")
+    elif doc.get("tilted_spec") is not None:
+        raise InputError("malformed functional: a maxent functional carries no tilted_spec")
+    else:
+        f = build_maxent(d, epsilon, mode, allow_zero_epsilon=True)
+    _check_rebuilt("coeff", coeff, f.coeff)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +257,35 @@ def seesaw_result_to_dict(result: SeesawResult, include_strategy: bool = True) -
 # ---------------------------------------------------------------------------
 
 
-def write_json_atomic(path: str | Path, doc: dict) -> None:
-    """Serialize ``doc`` to ``path`` via a same-directory temp file and rename."""
+def dumps_json(doc: dict) -> str:
+    """Indented JSON text of ``doc``.
+
+    Raises:
+        NumericalIntegrityError: if ``doc`` holds NaN or infinity, which JSON
+            cannot represent.
+    """
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalIntegrityError(f"refusing to emit a non-finite number: {exc}") from exc
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` (newline-terminated) to ``path`` via a same-directory temp file and rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+            handle.write(text if text.endswith("\n") else text + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str | Path, doc: dict) -> None:
+    """Serialize ``doc`` to ``path`` atomically; NaN or infinity raises before any file exists."""
+    write_text_atomic(path, dumps_json(doc))
 
 
 def read_json(path: str | Path) -> dict:

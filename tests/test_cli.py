@@ -171,6 +171,27 @@ def test_verify_perturbed_exits_one(capsys, tmp_path):
     assert doc["verdict"] == "failed"
 
 
+def test_verify_non_finite_correlation_exits_two(capsys, tmp_path):
+    doc = correlation_to_dict(ideal_maxent_correlation(3))
+    doc["table"][0][1][2][2] = float("nan")
+    corr = tmp_path / "nan.json"
+    corr.write_text(json.dumps(doc))  # Python's json writes the NaN literal
+    assert main(["verify", "--d", "3", "--correlation", str(corr)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_output_exits_two(capsys, tmp_path):
+    corr = tmp_path / "corr.json"
+    assert main(["ideal", "--d", "3", "--out", str(corr)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    argv = ["verify", "--d", "3", "--correlation", str(corr), "--tol", "nan", "--out", str(out)]
+    assert main(argv) == 2  # the report would carry a NaN tolerance, which is not JSON
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_verify_tilted_ideal_is_conjecture_consistent(capsys, tmp_path):
     corr = tmp_path / "tilted.json"
     coeffs = "0.6,0.5,0.45," + repr(math.sqrt(0.1875))

@@ -222,3 +222,54 @@ def test_correlation_from_deterministic_is_indicator():
 def test_correlation_from_deterministic_range_check():
     with pytest.raises(InputError):
         correlation_from_deterministic(DeterministicStrategy(fA=(0, 0, 2), fB=(0, 0, 0, 0)), d=2)
+
+
+# ---------------------------------------------------------------------------
+# stacked measurements and non-finite input
+# ---------------------------------------------------------------------------
+
+
+def test_strategy_stores_read_only_stacked_pvms():
+    rng = np.random.default_rng(6)
+    s = _random_strategy(3, rng, 4, 5)
+    assert s.alice_pvms.shape == (3, 3, 4, 4) and s.bob_pvms.shape == (4, 3, 5, 5)
+    assert s.alice_pvms.dtype == complex
+    with pytest.raises(ValueError):
+        s.bob_pvms[0, 0, 0, 0] = 1.0
+    pvm = random_pvm(2, 2, rng)
+    chsh = ChshStrategy(dA=2, dB=2, state=random_state(4, rng), alice_pvms=(pvm, pvm), bob_pvms=(pvm, pvm))
+    assert isinstance(chsh, QuantumStrategy) and chsh.alice_pvms.shape == (2, 2, 2, 2)
+
+
+def test_quantum_strategy_rejects_ragged_pvms():
+    rng = np.random.default_rng(7)
+    pvm = random_pvm(2, 2, rng)
+    short = [pvm[0]]  # one projector where two are expected
+    with pytest.raises(ShapeMismatchError):
+        QuantumStrategy(
+            d=2, dA=2, dB=2, state=random_state(4, rng),
+            alice_pvms=(pvm, short, pvm), bob_pvms=(pvm,) * 4,
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_correlation_rejects_non_finite_entries(bad):
+    table = np.full((3, 4, 2, 2), 0.25)
+    table[1, 2, 0, 1] = bad
+    with pytest.raises(InputError):
+        Correlation(d=2, table=table)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quantum_strategy_rejects_non_finite_numbers(bad):
+    rng = np.random.default_rng(8)
+    pvm = random_pvm(2, 2, rng)
+    state = random_state(4, rng)
+    nan_state = state.copy()
+    nan_state[3] = bad
+    with pytest.raises(InputError):
+        QuantumStrategy(d=2, dA=2, dB=2, state=nan_state, alice_pvms=(pvm,) * 3, bob_pvms=(pvm,) * 4)
+    nan_pvm = [pvm[0].copy(), pvm[1]]
+    nan_pvm[0][0, 1] = bad
+    with pytest.raises(InputError):
+        QuantumStrategy(d=2, dA=2, dB=2, state=state, alice_pvms=(pvm,) * 3, bob_pvms=(pvm, pvm, nan_pvm, pvm))

@@ -1,5 +1,6 @@
 """Functional construction, sub-functional values, cross sets, tilted parameters."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -377,3 +378,95 @@ def test_uniform_table_value_d3_is_bonus_only():
     f = build_maxent(3, 0.0, allow_zero_epsilon=True)
     p = Correlation(d=3, table=np.full((3, 4, 3, 3), 1 / 9))
     assert evaluate(f, p) == pytest.approx(4 * SQRT2 / 9, abs=LIN_TOL)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact coefficient tensors
+# ---------------------------------------------------------------------------
+
+# sha256 of ``(coeff + 0.0).tobytes()`` (little-endian float64, signed zeros
+# folded).  Classical maxima and argmax sets are compared exactly, so the
+# builders must keep reproducing these tensors bit for bit.
+MAXENT_DIGESTS = {
+    (2, 0.1, "exclude"): "3cf899aa7c28b8ba9c04e952f301b9291454c3498ec01551f4ae26ceebc9e92c",
+    (2, 0.0, "exclude"): "3cf899aa7c28b8ba9c04e952f301b9291454c3498ec01551f4ae26ceebc9e92c",
+    (3, 0.1, "exclude"): "cb3639d3fc86883cad5d619f04c8991027ff0bbe2420244d7c586a8864926c41",
+    (3, 0.1, "include"): "ac6d2632b9738703ed51e02d157814354b1939a19d94e5679169ab50f7eddbf8",
+    (3, 0.0, "exclude"): "98b72ed5166308bafad12b168eda510781af9fc864c2be87dbf34e43ef517858",
+    (3, 0.0, "include"): "98b72ed5166308bafad12b168eda510781af9fc864c2be87dbf34e43ef517858",
+    (4, 0.1, "exclude"): "d51484c6e83b2fd8c2971ece040e500c7f132d83db0b07b2fa246210c104f130",
+    (4, 0.0, "exclude"): "2c67586e4595c7e1293aef098e405b1060e2b854d9ab795473b6ac24ff0ba7d9",
+    (5, 0.1, "exclude"): "6e4f45d4af630f0e5831504b8ea11b357d24addf26f46188f6b2da0a86c511b6",
+    (5, 0.1, "include"): "c8df09457996ba759dad840413971e1ec35af21418c03d080c6f8a88745a7cac",
+    (5, 0.0, "exclude"): "adec337f620abf442e05349378d0ec9dbf0019b6dcda8cecc695104a218a993f",
+    (5, 0.0, "include"): "adec337f620abf442e05349378d0ec9dbf0019b6dcda8cecc695104a218a993f",
+    (6, 0.1, "exclude"): "dc23ee05c9cc32e8b387e7a9c7db3bcc3c4b01b36407debe1a740226e90d7b63",
+    (6, 0.0, "exclude"): "6a7fc1345f355f61ace9d2a41e9c53b9ee1a0564ed4165b2480a958d7546ece2",
+    (7, 0.1, "exclude"): "b813c7ca9f680191abed36d1ffe1682e380e1c9f83d287a181c1f94069b3ced7",
+    (7, 0.1, "include"): "1a3b92e1bd6925b86864235d24e547c91387de92b6cea4b60c61ae035e987a69",
+    (7, 0.0, "exclude"): "b8f4f62070c1ba4feca4736740bc2b89688f452abafd4347ffae093baffd7dfd",
+    (7, 0.0, "include"): "b8f4f62070c1ba4feca4736740bc2b89688f452abafd4347ffae093baffd7dfd",
+    (8, 0.1, "exclude"): "8efd49ff2f4221574dc33b0a0abfe075b62016779a093c3c16d44547069585a8",
+    (8, 0.0, "exclude"): "e7f27cc4cd68428035b7c322dc79566916f96f333e8c0110a01b5a4114d330fd",
+    (9, 0.1, "exclude"): "745623850095ea89894e41b46fb1d9b4b596dd6cd57c9e4b2c15530b947c411a",
+    (9, 0.1, "include"): "2309d87c852b3210817ae39b765992fa54bdd7e6762ff11157a4610b1befe679",
+    (9, 0.0, "exclude"): "2de1500e25bf97ed4a0e07f99dff4d41c8a3a664078e8d17938abac7cf504606",
+    (9, 0.0, "include"): "2de1500e25bf97ed4a0e07f99dff4d41c8a3a664078e8d17938abac7cf504606",
+    (10, 0.1, "exclude"): "9530be5318716975981f805176182fb355baed61274d7bf07732fc94c6be1265",
+    (10, 0.0, "exclude"): "85f5aed44fcde942945bdaba51ec685e2421e3a76233cccdf1d025ea3c0dc0bf",
+}
+
+TILTED_SETS = {
+    "pi8": (math.cos(math.pi / 8), math.sin(math.pi / 8)),
+    "pi6": (math.cos(math.pi / 6), math.sin(math.pi / 6)),
+    "pi4": (math.cos(math.pi / 4), math.sin(math.pi / 4)),
+    "0.8,0.6": (0.8, 0.6),
+    "0.6,0.8": (0.6, 0.8),
+    "uniform4": (0.5, 0.5, 0.5, 0.5),
+    "d4": (0.6, 0.5, 0.45, math.sqrt(0.1875)),
+    "d5": (0.7, 0.2, 0.3, 0.1, math.sqrt(1 - 0.63)),
+    "uniform3": (1.0 / math.sqrt(3),) * 3,
+    "uniform5": (1.0 / math.sqrt(5),) * 5,
+    "uniform6": (1.0 / math.sqrt(6),) * 6,
+}
+
+TILTED_DIGESTS = {
+    ("pi8", 0.1, "exclude"): "5919d00c52d6dc1372daf61fd9ecf77eeaee748fa90a3ae75586463d11842457",
+    ("pi6", 0.1, "exclude"): "9769e81eda9334177939e803259ddf72d0a53a9fb2908bbefbbcb8c41d03ff0a",
+    ("pi4", 0.1, "exclude"): "e4d23c05711ea60d6bb6033541ed24b532e054fe2ef87354cb87243ae0392388",
+    ("0.8,0.6", 0.1, "exclude"): "600e7291cf791d875bc3fa98e6d7a70799cf0fb9454de3bba250508f8b50c727",
+    ("0.6,0.8", 0.1, "exclude"): "fe90680a507cf32a21522757cc6f918627efc367398dbc34ce13889295054ad8",
+    ("uniform4", 0.1, "exclude"): "b7b124001dfaf908699958e5895f0c38872af66e8bf4ac0ba7a937150b16f4b7",
+    ("d4", 0.1, "exclude"): "09b2185f7a719f5df6447386a26eaf523144a0109895e0eaf04f037b5f31e02c",
+    ("d4", 0.2, "exclude"): "ddde2446bcf96a1bdb881c9845bbc9f26ef6250fd1a8afb26fe2116e5154d4d7",
+    ("d5", 0.1, "exclude"): "e5b69596d4b04a7e5759dee70391397a8bd3736220ecf17d13ca305660e0b0cb",
+    ("d5", 0.1, "include"): "b14842750fa70a880cb915166dde5d0c3c0f363a0cc43cf5f3d71e53d5e323b6",
+    ("d5", 0.0, "exclude"): "79b0352e0abe39dc9d0381c0ca57a5398a2f7c0686217b7df7398d8d413f93b3",
+    ("uniform3", 0.11, "exclude"): "07b76b31fa0f3af69f1e8ca0f8d9ffd24590f3341e3c6dee2d9c66685dd56f3d",
+    ("uniform5", 0.11, "exclude"): "5908214f934517b1638a01b658c55b16ca4e68632a197ca90716505ed247df4d",
+    ("uniform6", 0.11, "exclude"): "077358392194f88aeef52e1819dcb2e6f1989cabd3d803e8af9dc3e8e8414332",
+}
+
+
+def coeff_digest(f):
+    return hashlib.sha256((f.coeff + 0.0).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("d,eps,mode", list(MAXENT_DIGESTS))
+def test_maxent_coefficients_bit_exact(d, eps, mode):
+    f = build_maxent(d, eps, CrossDiagonalMode(mode), allow_zero_epsilon=True)
+    assert coeff_digest(f) == MAXENT_DIGESTS[d, eps, mode]
+
+
+@pytest.mark.parametrize("name,eps,mode", list(TILTED_DIGESTS))
+def test_tilted_coefficients_bit_exact(name, eps, mode):
+    f = build_tilted(TILTED_SETS[name], eps, CrossDiagonalMode(mode), allow_zero_epsilon=True)
+    assert coeff_digest(f) == TILTED_DIGESTS[name, eps, mode]
+
+
+def test_functional_rejects_non_finite_coefficients():
+    coeff = build_maxent(3, 0.1).coeff.copy()
+    for bad in (math.nan, math.inf):
+        coeff[1, 2, 0, 0] = bad
+        with pytest.raises(InputError):
+            BellFunctional(d=3, epsilon=0.1, variant=Variant.MAXENT, mode=CrossDiagonalMode.EXCLUDE, coeff=coeff)

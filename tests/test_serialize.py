@@ -9,6 +9,7 @@ import pytest
 from chshd import (
     ChshdError,
     InputError,
+    NumericalIntegrityError,
     SeesawConfig,
     build_maxent,
     build_tilted,
@@ -144,3 +145,33 @@ def test_read_json_rejects_non_object(tmp_path):
     target.write_text("[1, 2, 3]")
     with pytest.raises(InputError):
         read_json(target)
+
+
+def test_functional_from_dict_rejects_edited_tilted_spec():
+    doc = json.loads(json.dumps(functional_to_dict(build_tilted((0.8, 0.6), 0.1))))
+    doc["tilted_spec"]["alpha"] = [0.0]
+    with pytest.raises(InputError):
+        functional_from_dict(doc)
+    with pytest.raises(InputError):
+        tilted_spec_from_dict(doc["tilted_spec"])
+
+
+def test_functional_from_dict_rejects_edited_coefficients():
+    for f in (build_maxent(3, 0.1), build_tilted((0.6, 0.5, 0.45, math.sqrt(0.1875)), 0.2)):
+        doc = json.loads(json.dumps(functional_to_dict(f)))
+        doc["coeff"][0][0][0][0] = 99
+        with pytest.raises(InputError):
+            functional_from_dict(doc)
+
+
+def test_functional_from_dict_accepts_zero_epsilon():
+    f = build_maxent(4, 0.0, allow_zero_epsilon=True)
+    g = functional_from_dict(json.loads(json.dumps(functional_to_dict(f))))
+    assert g.epsilon == 0.0 and np.array_equal(g.coeff, f.coeff)
+
+
+def test_write_json_atomic_refuses_nan(tmp_path):
+    target = tmp_path / "artifact.json"
+    with pytest.raises(NumericalIntegrityError):
+        write_json_atomic(target, {"x": float("nan")})
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
