@@ -392,6 +392,8 @@ class BellFunctional:
 
 
 def _check_epsilon(epsilon: float, allow_zero_epsilon: bool) -> None:
+    if not math.isfinite(epsilon):
+        raise InputError(f"cross-term penalty epsilon must be finite, got {epsilon}")
     if epsilon < 0 or (epsilon == 0 and not allow_zero_epsilon):
         raise InputError(
             f"cross-term penalty must be positive, got {epsilon}; "

@@ -7,8 +7,19 @@ The optimizer alternates two exact coordinate steps:
 * *measurement step* -- for each party and question, coordinate-ascent over
   answer pairs: the restriction of the objective to one pair of projectors is
   a two-outcome discrimination problem whose optimum is the split of the
-  pair's subspace into the non-negative/negative eigenspaces of the restricted
+  pair's subspace into the positive/non-positive eigenspaces of the restricted
   gain difference.
+
+During the measurement step each question's PVM is held as an orthonormal
+frame (one column per basis vector of ``C^dim``) with an answer label per
+column, so ``P^a`` is the sum of the outer products of the columns labelled
+``a``.  The frames are read off the starting PVMs once per restart.  A pair
+update rotates the columns labelled ``a`` or ``b`` onto the eigenvectors of
+the gain difference restricted to them and relabels them, which costs one
+small ``eigh``; the objective's rise is read from its eigenvalues.  Ranks may
+move between answers, so wider local spaces (``dim > d``) need no special
+case.  Stacked projectors are rebuilt from the frames once per party and
+sweep, for the Bell operator, the gains and the objective.
 
 Both steps can only increase the objective, so trajectories are monotone
 non-decreasing up to round-off.  All randomness flows from a single seed;
@@ -42,7 +53,7 @@ from .correlations import (
     QuantumStrategy,
     correlation_from_quantum,
 )
-from .errors import InputError
+from .errors import InputError, NumericalIntegrityError
 from .functionals import CHSH_SIGNS, BellFunctional, Variant, chsh_m_value
 from .ideal import ideal_maxent_strategy, ideal_tilted_strategy
 
@@ -50,7 +61,7 @@ from .ideal import ideal_maxent_strategy, ideal_tilted_strategy
 ASCENT_SLACK = 1e-10
 
 _DEGENERACY_TOL = 1e-12
-_RANK_TOL = 0.5  # eigenvalues of a projector sum above this count as range
+_RANK_TOL = 0.5  # eigenvalues of a projector above this count as range
 _PAIR_PASSES = 30  # cap on coordinate-ascent passes within one measurement
 
 
@@ -81,9 +92,10 @@ class SeesawConfig:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.convergence_tol <= 0:
+        # Written so that NaN fails them: every comparison with NaN is false.
+        if not self.convergence_tol > 0:
             raise InputError(f"convergence_tol must be positive, got {self.convergence_tol}")
-        if self.init_noise < 0:
+        if not self.init_noise >= 0:
             raise InputError(f"init_noise must be non-negative, got {self.init_noise}")
 
 
@@ -96,6 +108,7 @@ class SeesawResult:
     best_restart: int
     trajectory: tuple[tuple[float, ...], ...]
     converged: tuple[bool, ...]
+    pair_cap_hits: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -218,35 +231,67 @@ def _gains(psi_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
     return psi_mat @ w.swapaxes(-1, -2) @ psi_mat.conj().T
 
 
-def _pair_ascent(pvm: np.ndarray, gains: np.ndarray, tol: float) -> None:
-    """Coordinate ascent over projector pairs of one question's ``(d, dim, dim)`` PVM, in place."""
-    d = len(pvm)
+def _frames(pvms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal frames ``(n_questions, dim, dim)`` and column labels ``(n_questions, dim)``.
+
+    Column ``k`` of frame ``x`` lies in the range of ``P_x^{labels[x, k]}``.
+
+    Raises:
+        NumericalIntegrityError: if a question's projector ranks do not sum to ``dim``.
+    """
+    n, d, dim = pvms.shape[:3]
+    vals, vecs = np.linalg.eigh(pvms)
+    keep = vals > _RANK_TOL
+    ranks = keep.sum(axis=(1, 2))
+    if np.any(ranks != dim):
+        raise NumericalIntegrityError(
+            f"projector ranks per question sum to {ranks.tolist()}, expected {dim} each"
+        )
+    frames = vecs.swapaxes(-1, -2)[keep].reshape(n, dim, dim).swapaxes(-1, -2)
+    labels = np.broadcast_to(np.arange(d)[:, None], keep.shape)[keep].reshape(n, dim)
+    return np.ascontiguousarray(frames), labels
+
+
+def _projectors(frames: np.ndarray, labels: np.ndarray, d: int) -> np.ndarray:
+    """Stacked PVMs ``(n_questions, d, dim, dim)``: ``P_x^a`` sums the columns labelled ``a``."""
+    onehot = labels[:, None, :] == np.arange(d)[:, None]
+    return np.einsum("xik,xak,xjk->xaij", frames, onehot, frames.conj())
+
+
+def _pair_ascent(
+    frame: np.ndarray, labels: np.ndarray, gains: np.ndarray, tol: float
+) -> tuple[float, bool]:
+    """Coordinate ascent over answer pairs of one question's frame and labels, in place.
+
+    For a pair ``a < b`` the columns labelled ``a`` or ``b`` span the range
+    of ``P_a + P_b``.  They are rotated onto the eigenvectors of the restricted
+    gain difference and relabelled ``a`` where its eigenvalue is positive.
+    The objective ``sum_a Tr[P_a gains[a]]`` then rises by the positive
+    eigenvalues' sum minus the old ``a`` columns' diagonal entries.
+
+    Returns the total gain and whether the pass cap was hit.
+    """
+    d = len(gains)
+    total = 0.0
     for _ in range(_PAIR_PASSES):
         pass_gain = 0.0
         for a in range(d):
             for b in range(a + 1, d):
-                q = pvm[a] + pvm[b]
-                qvals, qvecs = np.linalg.eigh(q)
-                basis = qvecs[:, qvals > _RANK_TOL]
-                if basis.shape[1] == 0:
+                cols = np.nonzero((labels == a) | (labels == b))[0]
+                if cols.size == 0:
                     continue
+                basis = frame[:, cols]
                 diff = basis.conj().T @ (gains[a] - gains[b]) @ basis
                 diff = (diff + diff.conj().T) / 2
                 dvals, dvecs = np.linalg.eigh(diff)
-                keep = basis @ dvecs[:, dvals > 0.0]
-                drop = basis @ dvecs[:, dvals <= 0.0]
-                new_a = keep @ keep.conj().T
-                new_b = drop @ drop.conj().T
-                old = _pair_value(pvm[a], gains[a]) + _pair_value(pvm[b], gains[b])
-                new = _pair_value(new_a, gains[a]) + _pair_value(new_b, gains[b])
-                pvm[a], pvm[b] = new_a, new_b
-                pass_gain += new - old
+                up = dvals > 0.0
+                pass_gain += dvals[up].sum() - diff.diagonal()[labels[cols] == a].real.sum()
+                frame[:, cols] = basis @ dvecs
+                labels[cols] = np.where(up, a, b)
+        total += pass_gain
         if pass_gain < tol:
-            return
-
-
-def _pair_value(proj: np.ndarray, gain: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", proj, gain).real)
+            return total, False
+    return total, True
 
 
 def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawResult:
@@ -267,6 +312,7 @@ def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawRe
     best_value, best_strategy, best_restart = -math.inf, None, -1
     trajectories: list[tuple[float, ...]] = []
     converged_flags: list[bool] = []
+    cap_hits: list[int] = []
 
     for r, seq in enumerate(seeds):
         rng = np.random.default_rng(seq)
@@ -274,20 +320,24 @@ def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawRe
             start = random_strategy(f.d, rng, dA, dB)
         else:
             start = _perturbed_ideal(f, config.init_noise, rng)
-        alice, bob = np.array(start.alice_pvms), np.array(start.bob_pvms)
-        psi = np.array(start.state)
+        alice, bob = start.alice_pvms, start.bob_pvms
+        (alice_frames, alice_labels), (bob_frames, bob_labels) = _frames(alice), _frames(bob)
+        psi = start.state
 
         trajectory: list[float] = []
         converged = False
+        hits = 0
         for _ in range(config.max_iters):
             w = np.tensordot(f.coeff, bob, axes=([1, 3], [0, 1]))
             psi, _ = principal_eigenvector(_operator(alice, w))
             psi_mat = psi.reshape(dA, dB)
-            for pvm, gains in zip(alice, _gains(psi_mat, w)):
-                _pair_ascent(pvm, gains, config.convergence_tol)
+            for frame, labels, gains in zip(alice_frames, alice_labels, _gains(psi_mat, w)):
+                hits += _pair_ascent(frame, labels, gains, config.convergence_tol)[1]
+            alice = _projectors(alice_frames, alice_labels, f.d)
             bob_gains = _gains(psi_mat.T, np.tensordot(f.coeff, alice, axes=([0, 2], [0, 1])))
-            for pvm, gains in zip(bob, bob_gains):
-                _pair_ascent(pvm, gains, config.convergence_tol)
+            for frame, labels, gains in zip(bob_frames, bob_labels, bob_gains):
+                hits += _pair_ascent(frame, labels, gains, config.convergence_tol)[1]
+            bob = _projectors(bob_frames, bob_labels, f.d)
             value = float(np.einsum("ybij,ybji->", bob, bob_gains).real)
             trajectory.append(value)
             if len(trajectory) > 1 and abs(trajectory[-1] - trajectory[-2]) < config.convergence_tol:
@@ -295,6 +345,7 @@ def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawRe
                 break
         trajectories.append(tuple(trajectory))
         converged_flags.append(converged)
+        cap_hits.append(hits)
 
         final_value = trajectory[-1]
         if final_value > best_value:
@@ -316,6 +367,7 @@ def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawRe
         best_restart=best_restart,
         trajectory=tuple(trajectories),
         converged=tuple(converged_flags),
+        pair_cap_hits=tuple(cap_hits),
     )
 
 

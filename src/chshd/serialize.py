@@ -17,7 +17,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -74,6 +74,22 @@ def _require(doc: dict, key: str, what: str) -> Any:
     return doc[key]
 
 
+def _integer(value: Any) -> int:
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _field(doc: dict, key: str, what: str, convert: Callable[[Any], Any]) -> Any:
+    """``convert(doc[key])``; a missing key or a value ``convert`` refuses raises InputError."""
+    value = _require(doc, key, what)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what}: bad {key!r} value {value!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # correlations and strategies
 # ---------------------------------------------------------------------------
@@ -90,7 +106,7 @@ def correlation_to_dict(p: Correlation) -> dict:
 
 def correlation_from_dict(doc: dict) -> Correlation:
     return Correlation(
-        d=int(_require(doc, "d", "correlation")),
+        d=_field(doc, "d", "correlation", _integer),
         table=_require(doc, "table", "correlation"),
         quantum_generated=bool(doc.get("quantum_generated", False)),
     )
@@ -110,9 +126,9 @@ def strategy_to_dict(s: QuantumStrategy) -> dict:
 
 def strategy_from_dict(doc: dict) -> QuantumStrategy:
     return QuantumStrategy(
-        d=int(_require(doc, "d", "strategy")),
-        dA=int(_require(doc, "dA", "strategy")),
-        dB=int(_require(doc, "dB", "strategy")),
+        d=_field(doc, "d", "strategy", _integer),
+        dA=_field(doc, "dA", "strategy", _integer),
+        dB=_field(doc, "dB", "strategy", _integer),
         state=complex_from_lists(_require(doc, "state", "strategy"), 1, "state"),
         alice_pvms=complex_from_lists(_require(doc, "alice_pvms", "strategy"), 4, "projectors"),
         bob_pvms=complex_from_lists(_require(doc, "bob_pvms", "strategy"), 4, "projectors"),
@@ -147,7 +163,8 @@ def tilted_spec_to_dict(spec: TiltedSpec) -> dict:
 
 def tilted_spec_from_dict(doc: dict) -> TiltedSpec:
     """Rebuild the spec from its coefficients ``c``; every stored field must agree."""
-    spec = TiltedSpec.from_coefficients(tuple(float(v) for v in _require(doc, "c", "tilted spec")))
+    c = _field(doc, "c", "tilted spec", lambda values: tuple(float(v) for v in values))
+    spec = TiltedSpec.from_coefficients(c)
     for f in dataclasses.fields(spec):
         stored = _require(doc, f.name, "tilted spec")
         _check_rebuilt(f"tilted spec field {f.name!r}", stored, getattr(spec, f.name))
@@ -172,10 +189,10 @@ def functional_from_dict(doc: dict) -> BellFunctional:
     The stored ``coeff`` must agree with the rebuilt tensor; ``epsilon = 0``
     is accepted, since a file can only hold it if it was built on purpose.
     """
-    d = int(_require(doc, "d", "functional"))
-    epsilon = float(_require(doc, "epsilon", "functional"))
-    variant = Variant(_require(doc, "variant", "functional"))
-    mode = CrossDiagonalMode(_require(doc, "mode", "functional"))
+    d = _field(doc, "d", "functional", _integer)
+    epsilon = _field(doc, "epsilon", "functional", float)
+    variant = _field(doc, "variant", "functional", Variant)
+    mode = _field(doc, "mode", "functional", CrossDiagonalMode)
     coeff = _require(doc, "coeff", "functional")
     if variant is Variant.TILTED:
         spec = tilted_spec_from_dict(doc.get("tilted_spec") or {})

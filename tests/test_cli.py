@@ -192,6 +192,31 @@ def test_non_finite_output_exits_two(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_seesaw_nan_settings_exit_two_before_optimizing(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the optimization ran")
+
+    monkeypatch.setattr("chshd.cli.seesaw", fail)
+    for flag in ("--tol", "--noise"):
+        assert main(["seesaw", "--d", "2", "--restarts", "1", "--seed", "0", flag, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key,value", [("variant", "bogus"), ("d", "three")])
+def test_verify_bad_functional_field_exits_two(capsys, tmp_path, key, value):
+    corr, bell = tmp_path / "corr.json", tmp_path / "bell.json"
+    assert main(["ideal", "--d", "3", "--out", str(corr)]) == 0
+    assert main(["build", "--d", "3", "--out", str(bell)]) == 0
+    capsys.readouterr()
+    doc = read_json(bell)
+    doc["functional"][key] = value
+    bell.write_text(json.dumps(doc))
+    assert main(["verify", "--bell", str(bell), "--correlation", str(corr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"bad {key!r} value" in captured.err
+
+
 def test_verify_tilted_ideal_is_conjecture_consistent(capsys, tmp_path):
     corr = tmp_path / "tilted.json"
     coeffs = "0.6,0.5,0.45," + repr(math.sqrt(0.1875))

@@ -470,3 +470,11 @@ def test_functional_rejects_non_finite_coefficients():
         coeff[1, 2, 0, 0] = bad
         with pytest.raises(InputError):
             BellFunctional(d=3, epsilon=0.1, variant=Variant.MAXENT, mode=CrossDiagonalMode.EXCLUDE, coeff=coeff)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_build_rejects_non_finite_epsilon_naming_epsilon(bad):
+    with pytest.raises(InputError, match="epsilon must be finite"):
+        build_maxent(3, bad)
+    with pytest.raises(InputError, match="epsilon must be finite"):
+        build_tilted((0.8, 0.6), bad)

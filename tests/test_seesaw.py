@@ -1,17 +1,23 @@
 """Seesaw ascent and CHSH coarse-graining reductions."""
 
+import importlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshd import (
     InitKind,
     InputError,
+    NumericalIntegrityError,
+    QuantumStrategy,
     SeesawConfig,
     bell_operator_matrix,
     build_maxent,
+    build_tilted,
     chsh_m_value,
     chsh_reduction_even,
     chsh_reduction_odd,
@@ -28,8 +34,11 @@ from chshd import (
 )
 from chshd.seesaw import ASCENT_SLACK, haar_unitary, random_strategy
 
+seesaw_module = importlib.import_module("chshd.seesaw")  # ``chshd.seesaw`` is also the function
+
 SQRT2 = math.sqrt(2.0)
 TOL = 1e-9
+TILTED4 = (0.6, 0.5, 0.45, math.sqrt(0.1875))
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +112,12 @@ def test_seesaw_config_validation():
         SeesawConfig(init_noise=-1e-3)
 
 
+@pytest.mark.parametrize("field", ["convergence_tol", "init_noise"])
+def test_seesaw_config_rejects_nan(field):
+    with pytest.raises(InputError, match=field):
+        SeesawConfig(**{field: math.nan})
+
+
 def test_seesaw_trajectories_are_monotone():
     f = build_maxent(3, 0.1)
     res = seesaw(f, SeesawConfig(restarts=4, max_iters=40, seed=5))
@@ -159,6 +174,98 @@ def test_seesaw_ideal_perturbed_rejects_enlarged_spaces():
 def test_seesaw_rejects_undersized_spaces():
     with pytest.raises(InputError):
         seesaw(build_maxent(4, 0.1), SeesawConfig(dA=2, restarts=1))
+
+
+def test_seesaw_reports_pair_cap_hits(monkeypatch):
+    f = build_maxent(3, 0.1)
+    cfg = SeesawConfig(restarts=2, max_iters=5, seed=4)
+    free = seesaw(f, cfg)
+    assert len(free.pair_cap_hits) == 2
+    monkeypatch.setattr(seesaw_module, "_PAIR_PASSES", 1)
+    capped = seesaw(f, cfg)
+    assert len(capped.pair_cap_hits) == 2
+    for hits, trajectory in zip(capped.pair_cap_hits, capped.trajectory):
+        # One measurement step per question (3 + 4) and iteration can hit the cap.
+        assert 0 < hits <= 7 * len(trajectory)
+    assert sum(capped.pair_cap_hits) > sum(free.pair_cap_hits)
+
+
+# Single-restart runs frozen before the measurement step moved to orthonormal
+# frames (default settings, epsilon = 0.1): (family, d, dims, seed, best_value,
+# iterations).  The frame update is the same algorithm with round-off taken in
+# another order, so values agree to 1e-9 and these square runs keep their
+# iteration counts; on wider spaces the count may move by a few iterations.
+FROZEN_RUNS = [
+    ("plain", 3, None, 1, 5.656854249447218, 23),
+    ("plain", 3, None, 2, 5.656854249468034, 23),
+    ("plain", 4, None, 1, 5.656854249190466, 83),
+    ("plain", 4, None, 2, 5.656854249168328, 86),
+    ("plain", 6, None, 1, 5.656854249209755, 80),
+    ("plain", 6, None, 2, 5.656854249198222, 75),
+    ("tilted", 4, None, 1, 1.999999999916557, 37),
+    ("tilted", 4, None, 2, 1.9999999999070963, 40),
+    ("plain", 3, (5, 5), 1, 5.65685424947101, 21),
+    ("plain", 3, (5, 5), 2, 5.412804801997599, 41),
+    ("plain", 4, (6, 6), 1, 5.656854249153486, 69),
+    ("plain", 4, (6, 6), 2, 5.656854249198126, 75),
+]
+
+
+@pytest.mark.parametrize("family,d,dims,seed,value,iterations", FROZEN_RUNS)
+def test_seesaw_matches_frozen_runs(family, d, dims, seed, value, iterations):
+    f = build_tilted(TILTED4, 0.1) if family == "tilted" else build_maxent(d, 0.1)
+    dA, dB = dims if dims is not None else (None, None)
+    res = seesaw(f, SeesawConfig(dA=dA, dB=dB, restarts=1, seed=seed))
+    assert abs(res.best_value - value) < 1e-9
+    if dims is None:
+        assert len(res.trajectory[0]) == iterations
+
+
+# ---------------------------------------------------------------------------
+# measurement step on orthonormal frames
+# ---------------------------------------------------------------------------
+
+
+def measurement_objective(pvm, gains):
+    return float(np.einsum("aij,aji->", pvm, gains).real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 5), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_pair_ascent_property(d, extra, seed):
+    rng = np.random.default_rng(seed)
+    dim = d + extra
+    frame = haar_unitary(dim, rng)
+    labels = rng.integers(d, size=dim)  # some answers may start with rank 0
+    g = rng.standard_normal((d, dim, dim)) + 1j * rng.standard_normal((d, dim, dim))
+    gains = g + g.conj().swapaxes(-1, -2)
+    before = measurement_objective(seesaw_module._projectors(frame[None], labels[None], d)[0], gains)
+
+    gain, _ = seesaw_module._pair_ascent(frame, labels, gains, 1e-10)
+
+    assert np.abs(frame.conj().T @ frame - np.eye(dim)).max() < 1e-12
+    pvm = seesaw_module._projectors(frame[None], labels[None], d)
+    state = np.zeros(dim * dim, dtype=complex)
+    state[0] = 1.0
+    s = QuantumStrategy(
+        d=d, dA=dim, dB=dim, state=state, alice_pvms=np.repeat(pvm, 3, 0), bob_pvms=np.repeat(pvm, 4, 0)
+    )
+    assert validate_strategy(s).is_valid
+    after = measurement_objective(pvm[0], gains)
+    assert after >= before - 1e-12
+    assert abs(gain - (after - before)) < 1e-10
+
+
+def test_frames_round_trip_and_refuse_rank_defects():
+    s = random_strategy(3, np.random.default_rng(8), dA=5, dB=4)
+    for pvms in (s.alice_pvms, s.bob_pvms):
+        frames, labels = seesaw_module._frames(pvms)
+        assert frames.shape == (len(pvms),) + pvms.shape[-2:]
+        assert np.abs(seesaw_module._projectors(frames, labels, 3) - pvms).max() < 1e-12
+    broken = np.array(s.alice_pvms)
+    broken[1, 2] = 0.0  # question 1 loses answer 2's range
+    with pytest.raises(NumericalIntegrityError):
+        seesaw_module._frames(broken)
 
 
 # ---------------------------------------------------------------------------

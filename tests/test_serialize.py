@@ -106,6 +106,34 @@ def test_functional_from_dict_rejects_missing_keys():
         functional_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [("variant", "bogus"), ("mode", "sideways"), ("d", "three"), ("d", 3.5), ("epsilon", "x")])
+def test_functional_from_dict_rejects_bad_fields(key, value):
+    doc = functional_to_dict(build_maxent(3, 0.1))
+    doc[key] = value
+    with pytest.raises(InputError, match=key):
+        functional_from_dict(doc)
+
+
+def test_strategy_and_correlation_from_dict_reject_bad_ints():
+    doc = strategy_to_dict(ideal_maxent_strategy(2))
+    doc["dA"] = None
+    with pytest.raises(InputError, match="dA"):
+        strategy_from_dict(doc)
+    doc = correlation_to_dict(ideal_maxent_correlation(2))
+    doc["d"] = [2]
+    with pytest.raises(InputError, match="'d'"):
+        correlation_from_dict(doc)
+
+
+def test_tilted_spec_from_dict_rejects_bad_coefficients():
+    from chshd import TiltedSpec
+
+    doc = tilted_spec_to_dict(TiltedSpec.from_coefficients((0.8, 0.6)))
+    doc["c"] = ["a", "b"]
+    with pytest.raises(InputError, match="'c'"):
+        tilted_spec_from_dict(doc)
+
+
 def test_correlation_from_dict_rejects_bad_table():
     doc = correlation_to_dict(ideal_maxent_correlation(2))
     doc["table"] = [[0.5, 0.5]]
