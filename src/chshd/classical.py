@@ -1,15 +1,20 @@
-"""Exact classical maximum of a functional by exhaustive enumeration.
+"""Exact classical maximum of a functional by Bob's best response.
 
 Deterministic strategies assign one answer per question, so there are
 ``d^3 * d^4`` of them; the maximum over those equals the maximum over all
-local (shared-randomness) strategies by convexity.  The scan is vectorized:
-for a chunk of Alice assignments the per-question coefficient slices
-``coeff[x, y, fA[x], b]`` are gathered and summed over ``x``, and the values
-of all ``d^4`` Bob assignments are obtained by broadcasting the four
-resulting ``(y, b)`` rows against each other.
+local (shared-randomness) strategies by convexity.  Once Alice's answers
+``fA`` are fixed the value ``sum_y rows[y, fB[y]]``, with
+``rows[y, b] = sum_x coeff[x, y, fA[x], b]``, splits into one term per Bob
+question, so Bob's best response is ``sum_y max_b rows[y, b]``.  One
+vectorized pass over the ``d^3`` Alice assignments therefore covers all
+``d^7`` strategies.  The terms are added in a fixed order, and rounded
+addition is monotone, so the best response's float sum is the largest float
+sum of any ``fB``: the value is the one an exhaustive scan finds.  The ties
+are listed from the Alice rows within the tolerance, as products of the
+answers per Bob question that could still be part of a tie.
 
 The plain functional's classical maximum is ``2 (1 + [d > 2])`` for even
-``d``.  For odd ``d`` the enumerator routinely finds strictly larger values:
+``d``.  For odd ``d`` the maximum routinely lies strictly above it:
 the bonus terms on the leftover diagonal are themselves classically
 achievable (for d = 3, answering ``2`` everywhere already collects
 ``2 + 2 sqrt(2)``), so the even-d bound does not carry over.  Results whose
@@ -18,7 +23,6 @@ value exceeds the even-d reference carry an explanatory note.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -34,8 +38,6 @@ TIE_TOL = 1e-12
 #: Largest d scanned without an explicit override (d^7 strategies).
 DEFAULT_CAP = 10
 
-_CHUNK = 256  # Alice assignments per vectorized block
-
 
 def classical_value_of(f: BellFunctional, s: DeterministicStrategy) -> float:
     """Value of a single deterministic strategy: ``sum_{x,y} coeff[x, y, fA[x], fB[y]]``."""
@@ -47,12 +49,15 @@ def classical_value_of(f: BellFunctional, s: DeterministicStrategy) -> float:
 
 @dataclass(frozen=True)
 class ClassicalMaxResult:
-    """Outcome of an exhaustive scan.
+    """Outcome of the best-response pass.
 
-    ``argmax`` lists every strategy within :data:`TIE_TOL` of the maximum, in
-    lexicographic ``(fA, fB)`` order.  ``note`` is set when the value exceeds
-    the even-d classical reference bound (which happens for odd d, where the
-    leftover-diagonal bonus terms are classically achievable).
+    ``strategies_scanned`` is ``d^7``, the number of deterministic strategies
+    the maximum covers: ``d^3`` Alice assignments, each met by Bob's best
+    response out of ``d^4``.  ``argmax`` lists every strategy within
+    :data:`TIE_TOL` of the maximum, in lexicographic ``(fA, fB)`` order.
+    ``note`` is set when the value exceeds the even-d classical reference
+    bound (which happens for odd d, where the leftover-diagonal bonus terms
+    are classically achievable).
     """
 
     value: float
@@ -62,26 +67,15 @@ class ClassicalMaxResult:
     note: str | None = None
 
 
-def _scan_chunk(coeff: np.ndarray, fa_rows: np.ndarray) -> np.ndarray:
-    """Values of all Bob assignments for each Alice row; shape (len(rows), d^4)."""
-    d = coeff.shape[2]
-    # rows[i, y, b] = sum_x coeff[x, y, fA_i[x], b]
-    rows = (
-        coeff[0][:, fa_rows[:, 0], :] + coeff[1][:, fa_rows[:, 1], :] + coeff[2][:, fa_rows[:, 2], :]
-    )  # (4, n, d)
-    values = (
-        rows[0][:, :, None, None, None]
-        + rows[1][:, None, :, None, None]
-        + rows[2][:, None, None, :, None]
-        + rows[3][:, None, None, None, :]
-    )
-    return values.reshape(len(fa_rows), d**4)
+def _total(t0, t1, t2, t3):
+    """Sum over Bob's questions, always added in the order 0, 1, 2, 3."""
+    return t0 + t1 + t2 + t3
 
 
 def classical_max(
     f: BellFunctional, *, cap: int = DEFAULT_CAP, tie_tol: float = TIE_TOL
 ) -> ClassicalMaxResult:
-    """Exhaustively maximize ``f`` over deterministic strategies.
+    """Maximize ``f`` over all deterministic strategies.
 
     Raises:
         EnumerationCapError: when ``f.d > cap`` (default cap 10, i.e. at most
@@ -91,21 +85,25 @@ def classical_max(
     if d > cap:
         raise EnumerationCapError(d, cap)
     fa_rows = np.array(list(product(range(d), repeat=3)), dtype=np.intp)
-    coeff = np.ascontiguousarray(f.coeff)
+    coeff = f.coeff
+    # rows[y, i, b] = sum_x coeff[x, y, fA_i[x], b], shape (4, d^3, d)
+    rows = coeff[0][:, fa_rows[:, 0]] + coeff[1][:, fa_rows[:, 1]] + coeff[2][:, fa_rows[:, 2]]
+    top = rows.max(axis=2)
+    row_best = _total(*top)
+    best = float(row_best.max())
 
-    best = -math.inf
-    for start in range(0, len(fa_rows), _CHUNK):
-        chunk = _scan_chunk(coeff, fa_rows[start : start + _CHUNK])
-        best = max(best, float(chunk.max()))
-
+    floor = best - tie_tol
     argmax: list[DeterministicStrategy] = []
-    strides = [d**3, d**2, d, 1]
-    for start in range(0, len(fa_rows), _CHUNK):
-        chunk = _scan_chunk(coeff, fa_rows[start : start + _CHUNK])
-        for i, flat in zip(*np.nonzero(chunk >= best - tie_tol)):
-            fa = tuple(int(v) for v in fa_rows[start + i])
-            fb = tuple(int(flat // s % d) for s in strides)
-            argmax.append(DeterministicStrategy(fA=fa, fB=fb))
+    for i in np.flatnonzero(row_best >= floor):
+        fa = tuple(fa_rows[i].tolist())
+        r, t = rows[:, i], top[:, i]
+        # By monotonicity a tie's answer b to question y also ties with the
+        # other questions at their maxima, so these lists hold every tied fB[y].
+        answers = [np.flatnonzero(_total(*t[:y], r[y], *t[y + 1 :]) >= floor) for y in range(4)]
+        values = _total(*np.ix_(*(r[y, b] for y, b in enumerate(answers))))
+        hits = np.nonzero(values >= floor)
+        for fb in np.column_stack([b[k] for b, k in zip(answers, hits)]).tolist():
+            argmax.append(DeterministicStrategy(fA=fa, fB=tuple(fb)))
 
     reference = classical_reference_bound(d)
     note = None

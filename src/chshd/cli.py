@@ -48,6 +48,7 @@ from .functionals import (
     build_tilted,
     evaluate,
     quantum_bound,
+    tilted_quantum_bound,
 )
 from .ideal import ideal_maxent_correlation, ideal_tilted_correlation
 from .seesaw import InitKind, SeesawConfig, seesaw
@@ -147,21 +148,11 @@ def _emit(doc: dict, args, text: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, convert, noun: str) -> tuple:
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        values = tuple(convert(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
-        raise InputError(f"{flag} expects comma-separated reals, got {text!r}") from exc
-    if not values:
-        raise InputError(f"{flag} expects at least one value, got {text!r}")
-    return values
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+        raise InputError(f"{flag} expects comma-separated {noun}, got {text!r}") from exc
     if not values:
         raise InputError(f"{flag} expects at least one value, got {text!r}")
     return values
@@ -203,7 +194,7 @@ def _resolve_functional(args) -> tuple[BellFunctional, dict]:
     if args.tilted:
         if not args.coeffs:
             raise InputError("--tilted requires --coeffs")
-        coeffs = _parse_floats(args.coeffs, "--coeffs")
+        coeffs = _parse_list(args.coeffs, "--coeffs", float, "reals")
         if args.d is not None and args.d != len(coeffs):
             raise InputError(f"--d {args.d} contradicts --coeffs of length {len(coeffs)}")
         f = build_tilted(coeffs, args.epsilon, mode, allow_zero_epsilon=args.allow_zero_epsilon)
@@ -287,6 +278,10 @@ def cmd_classical(args) -> int:
     if args.sweep_epsilon or args.sweep_d:
         if args.tilted:
             raise InputError("sweeps cover the plain family only")
+        if args.bell:
+            raise InputError("sweeps build their functionals; --bell cannot be combined with a sweep")
+        if args.sweep_d and args.d is not None:
+            raise InputError("--sweep-d sets the dimensions; drop --d")
         if args.d is None and not args.sweep_d:
             raise InputError("--sweep-epsilon requires --d")
         params: dict = {
@@ -297,13 +292,13 @@ def cmd_classical(args) -> int:
         }
         rows = []
         if args.sweep_epsilon:
-            epsilons = _parse_floats(args.sweep_epsilon, "--sweep-epsilon")
+            epsilons = _parse_list(args.sweep_epsilon, "--sweep-epsilon", float, "reals")
             params |= {"d": args.d, "sweep_epsilon": list(epsilons)}
             for eps in epsilons:
                 f = build_maxent(args.d, eps, mode, allow_zero_epsilon=args.allow_zero_epsilon)
                 rows.append(_classical_row(f, args.cap))
         else:
-            ds = _parse_ints(args.sweep_d, "--sweep-d")
+            ds = _parse_list(args.sweep_d, "--sweep-d", int, "integers")
             params |= {"epsilon": args.epsilon, "sweep_d": list(ds)}
             for d in ds:
                 f = build_maxent(d, args.epsilon, mode, allow_zero_epsilon=args.allow_zero_epsilon)
@@ -332,7 +327,7 @@ def cmd_ideal(args) -> int:
     f, params = _resolve_functional(args)
     if f.variant is Variant.TILTED:
         p = ideal_tilted_correlation(f.tilted_spec)
-        bound = 1.0 + (1.0 if f.d > 2 else 0.0)
+        bound = tilted_quantum_bound(f.d)
     else:
         p = ideal_maxent_correlation(f.d)
         bound = quantum_bound(f.d)
@@ -351,7 +346,7 @@ def cmd_ideal(args) -> int:
 def cmd_seesaw(args) -> int:
     f, params = _resolve_functional(args)
     seed = _resolve_seed(args)
-    dims = _parse_ints(args.dims, "--dims") if args.dims else None
+    dims = _parse_list(args.dims, "--dims", int, "integers") if args.dims else None
     if dims is not None and len(dims) != 2:
         raise InputError(f"--dims expects dA,dB, got {args.dims!r}")
     config = SeesawConfig(

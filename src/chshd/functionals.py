@@ -158,6 +158,11 @@ def quantum_bound(d: int) -> float:
     return 2.0 * math.sqrt(2.0) * (2 if d > 2 else 1)
 
 
+def tilted_quantum_bound(d: int) -> float:
+    """Value of the tilted functional on its ideal strategy, ``1 + [d > 2]``."""
+    return 1.0 + (1.0 if d > 2 else 0.0)
+
+
 def classical_reference_bound(d: int) -> float:
     """Classical bound of the plain functional for even d (see classical_max notes)."""
     return 2.0 * (2 if d > 2 else 1)

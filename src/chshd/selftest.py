@@ -38,6 +38,7 @@ from .functionals import (
     BellFunctional,
     CrossDiagonalMode,
     Variant,
+    _check_block,
     block_index,
     chsh_m_value,
     chsh_prime_m_value,
@@ -49,6 +50,7 @@ from .functionals import (
     quantum_bound,
     tchsh_m_value,
     tchsh_prime_m_value,
+    tilted_quantum_bound,
 )
 from .ideal import ideal_maxent_correlation, ideal_tilted_correlation
 
@@ -140,8 +142,7 @@ def block_correlation(
     ``weight_tol``.
     """
     d = p.d
-    if not 0 <= m < n_blocks(d):
-        raise InputError(f"block index m={m} out of range for d={d} (0..{n_blocks(d) - 1})")
+    _check_block(d, m)
     index = block_index(d, m, primed)
     weight, _ = _anchored_mass(p, index, primed)
     if weight <= weight_tol:
@@ -357,7 +358,7 @@ def verify_selftest_tilted(
         p,
         f,
         tol,
-        bound=1.0 + (1.0 if d > 2 else 0.0),
+        bound=tilted_quantum_bound(d),
         block_values=block_values,
         block_maxima=block_maxima,
         weight_targets=(

@@ -1,11 +1,15 @@
 """Exact classical optimization: oracle cross-checks and known optima."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chshd import (
+    CrossDiagonalMode,
     DeterministicStrategy,
     EnumerationCapError,
     build_maxent,
@@ -123,3 +127,44 @@ def test_classical_runtime_is_reasonable_at_d8():
     elapsed = time.perf_counter() - start
     assert res.strategies_scanned == 8 ** 7
     assert elapsed < 60.0
+
+
+TILTED3 = (0.6, 0.64, 0.48)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [build_maxent(d, 0.0, mode, allow_zero_epsilon=True) for d in (2, 3) for mode in CrossDiagonalMode]
+    + [build_tilted(TILTED3, eps, allow_zero_epsilon=True) for eps in (0.0, 0.1)],
+    ids=lambda f: f"{f.variant.value}-d{f.d}-eps{f.epsilon}-{f.mode.value}",
+)
+def test_classical_max_matches_brute_force_oracle_with_ties(f):
+    """Tie-heavy cases: without the cross penalty many assignments share the maximum."""
+    res = classical_max(f)
+    best, argmax = brute_force_classical(f.coeff, f.d)
+    assert abs(res.value - best) < TOL
+    assert [(s.fA, s.fB) for s in res.argmax] == argmax
+
+
+FROZEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "benchmarks" / "classical_frozen.json").read_text()
+)["values"]
+
+
+def _frozen_functional(key):
+    """Rebuild the functional a frozen key names (tilted entries were frozen at epsilon 0.1)."""
+    kind, rest = key.split(":", 1)
+    if kind == "tilted":
+        return build_tilted([float(v) for v in rest.split(",")], 0.1)
+    d, eps = rest.split(":")
+    return build_maxent(int(d), float(eps), allow_zero_epsilon=True)
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN))
+def test_classical_max_reproduces_frozen_results(key):
+    res = classical_max(_frozen_functional(key))
+    listing = json.dumps([[list(s.fA), list(s.fB)] for s in res.argmax], separators=(",", ":"))
+    want = FROZEN[key]
+    assert res.value == want["value"]
+    assert len(res.argmax) == want["argmax_count"]
+    assert hashlib.sha256(listing.encode()).hexdigest() == want["argmax_sha256"]

@@ -308,3 +308,50 @@ def test_epsilon_zero_allowed_when_requested(capsys):
     )
     assert code == 0
     assert doc["manifest"]["parameters"]["epsilon"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "sweep", [("--sweep-d", "2,3"), ("--d", "3", "--sweep-epsilon", "0.1")]
+)
+def test_classical_sweep_refuses_functional_file(capsys, tmp_path, sweep):
+    bell = tmp_path / "bell.json"
+    assert main(["build", "--d", "2", "--out", str(bell)]) == 0
+    capsys.readouterr()
+    assert main(["classical", *sweep, "--bell", str(bell)]) == 2
+    assert "--bell" in capsys.readouterr().err
+
+
+def test_classical_dimension_sweep_refuses_d(capsys):
+    assert main(["classical", "--sweep-d", "2,3", "--d", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--d" in captured.err
+
+
+def test_classical_dimension_sweep_takes_epsilon(capsys):
+    code, doc = run_json(capsys, "classical", "--epsilon", "0.2", "--sweep-d", "2,3")
+    assert code == 0
+    assert [row["epsilon"] for row in doc["sweep"]] == [0.2, 0.2]
+    assert doc["manifest"]["parameters"]["sweep_d"] == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("build", "--tilted", "--coeffs", "0.6,x"), "--coeffs expects comma-separated reals"),
+        (("classical", "--d", "3", "--sweep-epsilon", ","), "--sweep-epsilon expects at least one value"),
+        (("classical", "--sweep-d", "2,3.5"), "--sweep-d expects comma-separated integers"),
+        (("seesaw", "--d", "3", "--dims", "a,b"), "--dims expects comma-separated integers"),
+    ],
+)
+def test_list_flags_report_what_they_expect(capsys, argv, message):
+    assert main(list(argv)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs,bound", [("0.6,0.8", 1.0), ("0.6,0.64,0.48", 2.0)])
+def test_ideal_tilted_reports_its_bound(capsys, coeffs, bound):
+    code, doc = run_json(capsys, "ideal", "--tilted", "--coeffs", coeffs)
+    assert code == 0
+    assert doc["bound"] == bound
+    assert doc["bell_value"] == pytest.approx(bound, abs=1e-9)
