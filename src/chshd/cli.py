@@ -21,7 +21,14 @@ Every artifact (stdout JSON, ``--out`` files, CSV exports) embeds a manifest
 recording the command, the fully resolved parameters, the tool version, and a
 timestamp.  All randomness flows from ``--seed``; when the flag is absent a
 fresh seed is drawn and recorded, so any artifact can be reproduced from its
-manifest alone (:func:`argv_from_manifest`).
+manifest alone (:func:`argv_from_manifest`).  One rule names the flags: the
+manifest key ``k`` is the flag ``--k`` with ``_`` written as ``-``.
+
+Functional flags a command would ignore are refused with exit code 2:
+``--bell`` with any of ``--d``, ``--tilted``, ``--coeffs``, ``--epsilon``,
+``--cross-diagonal`` or ``--allow-zero-epsilon``; ``--coeffs`` without
+``--tilted``; ``--bell``, ``--tilted`` or ``--coeffs`` with a sweep;
+``--epsilon`` with ``--sweep-epsilon``; and ``--d`` with ``--sweep-d``.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -38,7 +46,6 @@ import numpy as np
 
 from . import __version__
 from .classical import DEFAULT_CAP, classical_max
-from .correlations import Correlation
 from .errors import ChshdError, InputError
 from .functionals import (
     BellFunctional,
@@ -68,9 +75,12 @@ from .serialize import (
 
 DEFAULT_EPSILON = 0.1
 
+#: Flags that build a functional; ``--bell`` loads one and takes none of them.
+_FUNCTIONAL_KEYS = ("d", "tilted", "coeffs", "epsilon", "cross_diagonal", "allow_zero_epsilon")
+
 
 # ---------------------------------------------------------------------------
-# manifest plumbing
+# manifests and artifacts
 # ---------------------------------------------------------------------------
 
 
@@ -83,29 +93,8 @@ def make_manifest(command: str, parameters: dict) -> dict:
     }
 
 
-#: Manifest parameter -> (flag, style); style "value" emits `--flag v`,
-#: "switch" emits `--flag` when true, "list" comma-joins a sequence.
-_FLAG_TABLE: tuple[tuple[str, str, str], ...] = (
-    ("bell", "--bell", "value"),
-    ("correlation", "--correlation", "value"),
-    ("d", "--d", "value"),
-    ("coeffs", "--coeffs", "list"),
-    ("tilted", "--tilted", "switch"),
-    ("epsilon", "--epsilon", "value"),
-    ("cross_diagonal", "--cross-diagonal", "value"),
-    ("allow_zero_epsilon", "--allow-zero-epsilon", "switch"),
-    ("sweep_epsilon", "--sweep-epsilon", "list"),
-    ("sweep_d", "--sweep-d", "list"),
-    ("cap", "--cap", "value"),
-    ("restarts", "--restarts", "value"),
-    ("iters", "--iters", "value"),
-    ("seed", "--seed", "value"),
-    ("tol", "--tol", "value"),
-    ("init", "--init", "value"),
-    ("noise", "--noise", "value"),
-    ("dims", "--dims", "list"),
-    ("format", "--format", "value"),
-)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _flag_repr(value) -> str:
@@ -115,32 +104,45 @@ def _flag_repr(value) -> str:
 def argv_from_manifest(manifest: dict) -> list[str]:
     """Reconstruct an equivalent command line from a manifest.
 
-    The output path is intentionally not part of the manifest, so callers
-    append their own ``--out`` when re-running.
+    Each parameter ``k`` becomes the flag ``--k`` with ``_`` written as
+    ``-``, in the manifest's order: ``True`` is a switch, a list is
+    comma-joined, ``None`` and ``False`` are left out, and any other value
+    follows its flag.  An unknown key becomes an unknown flag, which the
+    parser refuses.  The output path is intentionally not part of the
+    manifest, so callers append their own ``--out`` when re-running.
     """
     argv = [str(manifest["command"])]
-    parameters = manifest["parameters"]
-    for key, flag, style in _FLAG_TABLE:
-        if key not in parameters or parameters[key] is None:
-            continue
-        value = parameters[key]
-        if style == "switch":
-            if value:
-                argv.append(flag)
-        elif style == "list":
-            argv += [flag, ",".join(_flag_repr(v) for v in value)]
-        else:
-            argv += [flag, _flag_repr(value)]
+    for key, value in manifest["parameters"].items():
+        if value is True:
+            argv.append(_flag(key))
+        elif isinstance(value, list):
+            argv += [_flag(key), ",".join(_flag_repr(v) for v in value)]
+        elif value is not None and value is not False:
+            argv += [_flag(key), _flag_repr(value)]
     return argv
 
 
-def _emit(doc: dict, args, text: str | None = None) -> None:
-    """Print the artifact and, with ``--out``, write it atomically."""
-    rendered = text if text is not None else dumps_json(doc)
+def _emit(args, params: dict, doc: dict, rows: list[dict] | None = None) -> None:
+    """Write the artifact of ``args.command`` with its manifest.
+
+    The artifact is ``doc`` after the manifest as JSON or, with ``--format
+    csv`` and ``rows``, a CSV table under a ``# manifest: {...}`` line.
+    ``--out`` is written atomically before the artifact is printed, so a
+    closed stdout cannot lose the file.
+    """
+    manifest = make_manifest(args.command, params)
+    if rows is not None and args.format == "csv":
+        buffer = io.StringIO()
+        buffer.write(f"# manifest: {json.dumps(manifest)}\n")
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        rendered = buffer.getvalue().rstrip("\n")
+    else:
+        rendered = dumps_json({"manifest": manifest} | doc)
+    if args.out:
+        write_text_atomic(args.out, rendered)
     print(rendered)
-    out = getattr(args, "out", None)
-    if out:
-        write_text_atomic(out, rendered)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +164,10 @@ def _add_functional_flags(parser: argparse.ArgumentParser, with_bell: bool = Fal
     parser.add_argument("--d", type=int, help="local dimension (plain family)")
     parser.add_argument("--tilted", action="store_true", help="build the tilted family instead")
     parser.add_argument("--coeffs", help="comma-separated state coefficients (tilted family)")
-    parser.add_argument(
-        "--epsilon", type=float, default=DEFAULT_EPSILON, help="cross-term penalty (default 0.1)"
-    )
+    parser.add_argument("--epsilon", type=float, help="cross-term penalty (default 0.1)")
     parser.add_argument(
         "--cross-diagonal",
         choices=[m.value for m in CrossDiagonalMode],
-        default=CrossDiagonalMode.EXCLUDE.value,
         help="treatment of the odd-d leftover diagonal pairs (default exclude)",
     )
     parser.add_argument(
@@ -180,14 +179,27 @@ def _add_functional_flags(parser: argparse.ArgumentParser, with_bell: bool = Fal
         parser.add_argument("--bell", help="load the functional from a JSON file instead")
 
 
+def _epsilon_and_mode(args) -> tuple[float, CrossDiagonalMode]:
+    """``--epsilon`` and ``--cross-diagonal``, or their defaults (0.1, exclude) when not given."""
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    return epsilon, CrossDiagonalMode(args.cross_diagonal or CrossDiagonalMode.EXCLUDE.value)
+
+
 def _resolve_functional(args) -> tuple[BellFunctional, dict]:
     """Build or load the functional; returns it with its manifest parameters."""
     if getattr(args, "bell", None):
-        f = _load_functional(args.bell)
-        return f, {"bell": args.bell}
-    mode = CrossDiagonalMode(args.cross_diagonal)
+        given = [
+            _flag(k) for k in _FUNCTIONAL_KEYS
+            if (value := getattr(args, k)) is not None and value is not False
+        ]
+        if given:
+            raise InputError(f"--bell loads the functional; drop {' '.join(given)}")
+        return _load(args.bell, "functional", functional_from_dict), {"bell": args.bell}
+    if args.coeffs is not None and not args.tilted:
+        raise InputError("--coeffs sets the tilted family's state; add --tilted")
+    epsilon, mode = _epsilon_and_mode(args)
     params = {
-        "epsilon": args.epsilon,
+        "epsilon": epsilon,
         "cross_diagonal": mode.value,
         "allow_zero_epsilon": args.allow_zero_epsilon,
     }
@@ -197,28 +209,20 @@ def _resolve_functional(args) -> tuple[BellFunctional, dict]:
         coeffs = _parse_list(args.coeffs, "--coeffs", float, "reals")
         if args.d is not None and args.d != len(coeffs):
             raise InputError(f"--d {args.d} contradicts --coeffs of length {len(coeffs)}")
-        f = build_tilted(coeffs, args.epsilon, mode, allow_zero_epsilon=args.allow_zero_epsilon)
+        f = build_tilted(coeffs, epsilon, mode, allow_zero_epsilon=args.allow_zero_epsilon)
         params |= {"tilted": True, "coeffs": list(coeffs)}
     else:
         if args.d is None:
             raise InputError("either --d (plain family) or --tilted --coeffs is required")
-        f = build_maxent(args.d, args.epsilon, mode, allow_zero_epsilon=args.allow_zero_epsilon)
+        f = build_maxent(args.d, epsilon, mode, allow_zero_epsilon=args.allow_zero_epsilon)
         params |= {"tilted": False, "d": args.d}
     return f, params
 
 
-def _load_functional(path: str) -> BellFunctional:
+def _load(path: str, key: str, from_dict):
+    """Read an object from ``path``, either bare or under ``key`` in an artifact."""
     doc = read_json(path)
-    if "functional" in doc:
-        doc = doc["functional"]
-    return functional_from_dict(doc)
-
-
-def _load_correlation(path: str) -> Correlation:
-    doc = read_json(path)
-    if "correlation" in doc:
-        doc = doc["correlation"]
-    return correlation_from_dict(doc)
+    return from_dict(doc.get(key, doc))
 
 
 def _resolve_seed(args) -> int:
@@ -228,7 +232,7 @@ def _resolve_seed(args) -> int:
 
 
 def _require_json_format(args, command: str) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         raise InputError(f"{command} has no CSV representation; use --format json")
 
 
@@ -239,11 +243,7 @@ def _require_json_format(args, command: str) -> None:
 
 def cmd_build(args) -> int:
     f, params = _resolve_functional(args)
-    doc = {
-        "manifest": make_manifest("build", params),
-        "functional": functional_to_dict(f),
-    }
-    _emit(doc, args)
+    _emit(args, params, {"functional": functional_to_dict(f)})
     return 0
 
 
@@ -261,64 +261,47 @@ def _classical_row(f: BellFunctional, cap: int) -> dict:
     }
 
 
-def _rows_to_csv(rows: list[dict], manifest: dict) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# manifest: {json.dumps(manifest)}\n")
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
-
-
 def cmd_classical(args) -> int:
+    if not (args.sweep_epsilon or args.sweep_d):
+        _require_json_format(args, "classical (without a sweep)")
+        f, params = _resolve_functional(args)
+        params["cap"] = args.cap
+        _emit(args, params, {"result": classical_result_to_dict(classical_max(f, cap=args.cap))})
+        return 0
     if args.sweep_epsilon and args.sweep_d:
         raise InputError("--sweep-epsilon and --sweep-d are mutually exclusive")
-    mode = CrossDiagonalMode(args.cross_diagonal)
-
-    if args.sweep_epsilon or args.sweep_d:
-        if args.tilted:
-            raise InputError("sweeps cover the plain family only")
-        if args.bell:
-            raise InputError("sweeps build their functionals; --bell cannot be combined with a sweep")
-        if args.sweep_d and args.d is not None:
-            raise InputError("--sweep-d sets the dimensions; drop --d")
-        if args.d is None and not args.sweep_d:
-            raise InputError("--sweep-epsilon requires --d")
-        params: dict = {
-            "cross_diagonal": mode.value,
-            "allow_zero_epsilon": args.allow_zero_epsilon,
-            "cap": args.cap,
-            "format": args.format,
-        }
-        rows = []
-        if args.sweep_epsilon:
-            epsilons = _parse_list(args.sweep_epsilon, "--sweep-epsilon", float, "reals")
-            params |= {"d": args.d, "sweep_epsilon": list(epsilons)}
-            for eps in epsilons:
-                f = build_maxent(args.d, eps, mode, allow_zero_epsilon=args.allow_zero_epsilon)
-                rows.append(_classical_row(f, args.cap))
-        else:
-            ds = _parse_list(args.sweep_d, "--sweep-d", int, "integers")
-            params |= {"epsilon": args.epsilon, "sweep_d": list(ds)}
-            for d in ds:
-                f = build_maxent(d, args.epsilon, mode, allow_zero_epsilon=args.allow_zero_epsilon)
-                rows.append(_classical_row(f, args.cap))
-        manifest = make_manifest("classical", params)
-        if args.format == "csv":
-            _emit({}, args, text=_rows_to_csv(rows, manifest))
-        else:
-            _emit({"manifest": manifest, "sweep": rows}, args)
-        return 0
-
-    _require_json_format(args, "classical (without a sweep)")
-    f, params = _resolve_functional(args)
-    params["cap"] = args.cap
-    result = classical_max(f, cap=args.cap)
-    doc = {
-        "manifest": make_manifest("classical", params),
-        "result": classical_result_to_dict(result),
+    if args.tilted:
+        raise InputError("sweeps cover the plain family only")
+    if args.bell:
+        raise InputError("sweeps build their functionals; --bell cannot be combined with a sweep")
+    if args.coeffs is not None:
+        raise InputError("sweeps cover the plain family only; drop --coeffs")
+    if args.sweep_d and args.d is not None:
+        raise InputError("--sweep-d sets the dimensions; drop --d")
+    if args.sweep_epsilon and args.epsilon is not None:
+        raise InputError("--sweep-epsilon sets the epsilons; drop --epsilon")
+    if args.d is None and not args.sweep_d:
+        raise InputError("--sweep-epsilon requires --d")
+    epsilon, mode = _epsilon_and_mode(args)
+    params: dict = {
+        "cross_diagonal": mode.value,
+        "allow_zero_epsilon": args.allow_zero_epsilon,
+        "cap": args.cap,
+        "format": args.format,
     }
-    _emit(doc, args)
+    if args.sweep_epsilon:
+        epsilons = _parse_list(args.sweep_epsilon, "--sweep-epsilon", float, "reals")
+        params |= {"d": args.d, "sweep_epsilon": list(epsilons)}
+        cases = [(args.d, eps) for eps in epsilons]
+    else:
+        ds = _parse_list(args.sweep_d, "--sweep-d", int, "integers")
+        params |= {"epsilon": epsilon, "sweep_d": list(ds)}
+        cases = [(d, epsilon) for d in ds]
+    rows = [
+        _classical_row(build_maxent(d, eps, mode, allow_zero_epsilon=args.allow_zero_epsilon), args.cap)
+        for d, eps in cases
+    ]
+    _emit(args, params, {"sweep": rows}, rows)
     return 0
 
 
@@ -332,14 +315,13 @@ def cmd_ideal(args) -> int:
         p = ideal_maxent_correlation(f.d)
         bound = quantum_bound(f.d)
     doc = {
-        "manifest": make_manifest("ideal", params),
         "d": f.d,
         "variant": f.variant.value,
         "bell_value": evaluate(f, p),
         "bound": bound,
         "correlation": correlation_to_dict(p),
     }
-    _emit(doc, args)
+    _emit(args, params, doc)
     return 0
 
 
@@ -371,41 +353,33 @@ def cmd_seesaw(args) -> int:
     if dims is not None:
         params["dims"] = list(dims)
     result = seesaw(f, config)
-    manifest = make_manifest("seesaw", params)
-    if args.format == "csv":
-        rows = [
-            {"restart": r, "iteration": i, "value": value}
-            for r, trajectory in enumerate(result.trajectory)
-            for i, value in enumerate(trajectory)
-        ]
-        _emit({}, args, text=_rows_to_csv(rows, manifest))
-        return 0
-    doc = {"manifest": manifest} | seesaw_result_to_dict(result)
-    _emit(doc, args)
+    rows = [
+        {"restart": r, "iteration": i, "value": value}
+        for r, trajectory in enumerate(result.trajectory)
+        for i, value in enumerate(trajectory)
+    ]
+    _emit(args, params, seesaw_result_to_dict(result), rows)
     return 0
 
 
 def cmd_verify(args) -> int:
     _require_json_format(args, "verify")
     f, params = _resolve_functional(args)
-    p = _load_correlation(args.correlation)
+    p = _load(args.correlation, "correlation", correlation_from_dict)
     params |= {"correlation": args.correlation, "tol": args.tol}
     if f.variant is Variant.TILTED:
         report = verify_selftest_tilted(p, f, tol=args.tol)
     else:
         report = verify_selftest(p, f, tol=args.tol)
-    doc = {"manifest": make_manifest("verify", params)} | report_to_dict(report)
-    _emit(doc, args)
+    _emit(args, params, report_to_dict(report))
     return 0 if report.passed else 1
 
 
 def cmd_eval(args) -> int:
     _require_json_format(args, "eval")
-    f = _load_functional(args.bell)
-    p = _load_correlation(args.correlation)
-    params = {"bell": args.bell, "correlation": args.correlation}
-    doc = {"manifest": make_manifest("eval", params), "value": evaluate(f, p)}
-    _emit(doc, args)
+    f = _load(args.bell, "functional", functional_from_dict)
+    p = _load(args.correlation, "correlation", correlation_from_dict)
+    _emit(args, {"bell": args.bell, "correlation": args.correlation}, {"value": evaluate(f, p)})
     return 0
 
 
@@ -480,10 +454,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
     except ChshdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # fail again (the recipe in the Python ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -61,31 +61,16 @@ def _blockwise_pvm(d: int, primed: bool, mu_of_block: Sequence[float]) -> np.nda
     return pvm
 
 
-def _assemble_strategy(d: int, state: np.ndarray, mu, mu_prime) -> QuantumStrategy:
-    blocks = n_blocks(d)
-    alice = [
-        _blockwise_pvm(d, False, [0.0] * blocks),  # computational basis
-        _blockwise_pvm(d, False, [math.pi / 2] * blocks),  # sigma_X per block
-        _blockwise_pvm(d, True, [math.pi / 2] * blocks),
-    ]
-    bob = [
-        _blockwise_pvm(d, False, list(mu)),
-        _blockwise_pvm(d, False, [-v for v in mu]),
-        _blockwise_pvm(d, True, list(mu_prime)),
-        _blockwise_pvm(d, True, [-v for v in mu_prime]),
-    ]
-    return QuantumStrategy(d=d, dA=d, dB=d, state=state, alice_pvms=alice, bob_pvms=bob)
-
-
 @lru_cache(maxsize=None)
 def ideal_maxent_strategy(d: int) -> QuantumStrategy:
     """Optimal strategy for the plain functional: maximally entangled state,
-    per-block CHSH measurements (Bob at angles +-pi/4)."""
+    per-block CHSH measurements (Bob at angles +-pi/4).
+
+    It is the tilted strategy at the uniform coefficients ``1/sqrt(d)``.
+    """
     if d < 2:
         raise InputError(f"local dimension must satisfy d >= 2, got {d}")
-    state = (np.eye(d) / math.sqrt(d)).reshape(-1).astype(complex)
-    blocks = n_blocks(d)
-    return _assemble_strategy(d, state, [math.pi / 4] * blocks, [math.pi / 4] * blocks)
+    return ideal_tilted_strategy(TiltedSpec.from_coefficients((1 / math.sqrt(d),) * d))
 
 
 @lru_cache(maxsize=None)
@@ -103,8 +88,20 @@ def ideal_tilted_strategy(spec: TiltedSpec) -> QuantumStrategy:
     are signed accordingly.
     """
     d = spec.d
+    blocks = n_blocks(d)
+    alice = [
+        _blockwise_pvm(d, False, [0.0] * blocks),  # computational basis
+        _blockwise_pvm(d, False, [math.pi / 2] * blocks),  # sigma_X per block
+        _blockwise_pvm(d, True, [math.pi / 2] * blocks),
+    ]
+    bob = [
+        _blockwise_pvm(d, False, spec.mu),
+        _blockwise_pvm(d, False, [-v for v in spec.mu]),
+        _blockwise_pvm(d, True, spec.mu_prime),
+        _blockwise_pvm(d, True, [-v for v in spec.mu_prime]),
+    ]
     state = np.diag(spec.c).reshape(-1).astype(complex)
-    return _assemble_strategy(d, state, spec.mu, spec.mu_prime)
+    return QuantumStrategy(d=d, dA=d, dB=d, state=state, alice_pvms=alice, bob_pvms=bob)
 
 
 def ideal_tilted_correlation(spec: TiltedSpec) -> Correlation:

@@ -4,10 +4,15 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chshd
 from chshd import (
     Correlation,
     build_maxent,
@@ -15,7 +20,7 @@ from chshd import (
     ideal_maxent_correlation,
     quantum_bound,
 )
-from chshd.cli import argv_from_manifest, main
+from chshd.cli import argv_from_manifest, build_parser, main
 from chshd.serialize import (
     correlation_to_dict,
     functional_from_dict,
@@ -355,3 +360,177 @@ def test_ideal_tilted_reports_its_bound(capsys, coeffs, bound):
     assert code == 0
     assert doc["bound"] == bound
     assert doc["bell_value"] == pytest.approx(bound, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# functional flags a command would ignore
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def artifacts(tmp_path, capsys):
+    """A plain d = 3 functional file and its ideal correlation file."""
+    paths = {"bell": str(tmp_path / "bell.json"), "corr": str(tmp_path / "corr.json")}
+    assert main(["build", "--d", "3", "--out", paths["bell"]]) == 0
+    assert main(["ideal", "--d", "3", "--out", paths["corr"]]) == 0
+    capsys.readouterr()
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("classical", "--bell", "{bell}", "--d", "5"), "drop --d"),
+        (("seesaw", "--bell", "{bell}", "--tilted", "--restarts", "1"), "drop --tilted"),
+        (("classical", "--bell", "{bell}", "--coeffs", "0.6,0.8"), "drop --coeffs"),
+        (("verify", "--bell", "{bell}", "--epsilon", "0", "--correlation", "{corr}"), "drop --epsilon"),
+        (("classical", "--bell", "{bell}", "--cross-diagonal", "exclude"), "drop --cross-diagonal"),
+        (("classical", "--bell", "{bell}", "--allow-zero-epsilon"), "drop --allow-zero-epsilon"),
+        (("classical", "--d", "3", "--coeffs", "0.6,0.8"), "add --tilted"),
+        (("classical", "--d", "3", "--epsilon", "0.3", "--sweep-epsilon", "0.1"), "drop --epsilon"),
+        (("classical", "--sweep-d", "2,3", "--coeffs", "0.6,0.8"), "drop --coeffs"),
+        (("classical", "--d", "3", "--sweep-epsilon", "0.1", "--coeffs", "0.6,0.8"), "drop --coeffs"),
+    ],
+)
+def test_ignored_functional_flags_exit_two(capsys, monkeypatch, artifacts, argv, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("chshd.cli.classical_max", fail)
+    monkeypatch.setattr("chshd.cli.seesaw", fail)
+    assert main([arg.format(**artifacts) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classical", "--tilted", "--coeffs", "0.6,0.8", "--epsilon", "0.2"),
+        ("seesaw", "--d", "2", "--epsilon", "0.1", "--restarts", "1", "--seed", "1", "--iters", "5"),
+    ],
+)
+def test_functional_flags_that_are_used_stay_valid(capsys, argv):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# manifest replay for every subcommand
+# ---------------------------------------------------------------------------
+
+
+def split_artifact(text):
+    """The manifest and the payload of a JSON or CSV artifact."""
+    if text.startswith("# manifest: "):
+        head, _, body = text.partition("\n")
+        return json.loads(head.removeprefix("# manifest: ")), body
+    doc = json.loads(text)
+    return doc.pop("manifest"), doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--d", "3", "--cross-diagonal", "include"),
+        ("classical", "--d", "3", "--cross-diagonal", "include", "--cap", "9"),
+        ("classical", "--d", "3", "--sweep-epsilon", "0.05,0.2", "--allow-zero-epsilon"),
+        ("classical", "--sweep-d", "2,3", "--epsilon", "0.2", "--format", "csv"),
+        ("ideal", "--tilted", "--coeffs", "0.6,0.8"),
+        ("seesaw", "--d", "2", "--restarts", "2", "--iters", "10", "--seed", "5", "--format", "csv"),
+        ("seesaw", "--bell", "{bell}", "--restarts", "1", "--iters", "10", "--seed", "3"),
+        ("verify", "--d", "3", "--correlation", "{corr}"),
+        ("eval", "--bell", "{bell}", "--correlation", "{corr}"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_manifest_replay_reproduces_every_subcommand(capsys, artifacts, argv):
+    code, text = run(capsys, *(arg.format(**artifacts) for arg in argv))
+    manifest, payload = split_artifact(text)
+    replay_code, replay_text = run(capsys, *argv_from_manifest(manifest))
+    replay_manifest, replay_payload = split_artifact(replay_text)
+    assert code == replay_code == 0
+    assert replay_manifest["command"] == argv[0]
+    assert replay_payload == payload
+    assert replay_manifest["parameters"] == manifest["parameters"]
+
+
+#: Manifest parameters copied verbatim from artifacts of the flag-table
+#: implementation, with the command line that implementation rebuilt.
+PARENT_MANIFESTS = [
+    (
+        "classical",
+        {"epsilon": 0.2, "cross_diagonal": "exclude", "allow_zero_epsilon": False, "tilted": False, "d": 4, "cap": 10},
+        ["--d", "4", "--epsilon", "0.2", "--cross-diagonal", "exclude", "--cap", "10"],
+    ),
+    (
+        "seesaw",
+        {
+            "epsilon": 0.1, "cross_diagonal": "exclude", "allow_zero_epsilon": False, "tilted": True,
+            "coeffs": [0.6, 0.8], "restarts": 1, "iters": 10, "seed": 2, "tol": 1e-10, "init": "random",
+            "noise": 0.01, "format": "json", "dims": [3, 3],
+        },
+        [
+            "--coeffs", "0.6,0.8", "--tilted", "--epsilon", "0.1", "--cross-diagonal", "exclude",
+            "--restarts", "1", "--iters", "10", "--seed", "2", "--tol", "1e-10", "--init", "random",
+            "--noise", "0.01", "--dims", "3,3", "--format", "json",
+        ],
+    ),
+    (
+        "classical",
+        {"cross_diagonal": "exclude", "allow_zero_epsilon": False, "cap": 10, "format": "csv", "epsilon": 0.2, "sweep_d": [2, 3, 4]},
+        ["--epsilon", "0.2", "--cross-diagonal", "exclude", "--sweep-d", "2,3,4", "--cap", "10", "--format", "csv"],
+    ),
+    (
+        "classical",
+        {"cross_diagonal": "exclude", "allow_zero_epsilon": False, "cap": 10, "format": "json", "d": 3, "sweep_epsilon": [0.05, 0.1]},
+        ["--d", "3", "--cross-diagonal", "exclude", "--sweep-epsilon", "0.05,0.1", "--cap", "10", "--format", "json"],
+    ),
+    (
+        "build",
+        {"epsilon": 0.0, "cross_diagonal": "exclude", "allow_zero_epsilon": True, "tilted": False, "d": 3},
+        ["--d", "3", "--epsilon", "0.0", "--cross-diagonal", "exclude", "--allow-zero-epsilon"],
+    ),
+    (
+        "verify",
+        {"bell": "b.json", "correlation": "c.json", "tol": 1e-07},
+        ["--bell", "b.json", "--correlation", "c.json", "--tol", "1e-07"],
+    ),
+    ("eval", {"bell": "b.json", "correlation": "c.json"}, ["--bell", "b.json", "--correlation", "c.json"]),
+]
+
+
+@pytest.mark.parametrize("command,parameters,flags", PARENT_MANIFESTS)
+def test_earlier_manifests_parse_to_the_same_namespace(command, parameters, flags):
+    manifest = {"command": command, "parameters": parameters, "version": "0.1.0", "timestamp": "t"}
+    parser = build_parser()
+    assert parser.parse_args(argv_from_manifest(manifest)) == parser.parse_args([command, *flags])
+
+
+def test_manifest_with_unknown_key_is_refused_on_replay(capsys):
+    manifest = {"command": "classical", "parameters": {"d": 3, "cap": 10, "colour": "red"}}
+    with pytest.raises(SystemExit) as exc:
+        main(argv_from_manifest(manifest))
+    assert exc.value.code == 2
+    assert "--colour" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# closed stdout
+# ---------------------------------------------------------------------------
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    out = tmp_path / "ideal.json"
+    # about 0.9 MB of JSON, far more than a pipe holds, so the write meets the closed end
+    argv = [sys.executable, "-m", "chshd", "ideal", "--d", "64", "--out", str(out)]
+    env = os.environ | {"PYTHONPATH": str(Path(chshd.__file__).parents[1])}
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert read_json(out)["d"] == 64  # --out was written before stdout

@@ -181,3 +181,27 @@ def test_tilted_uniform_reduces_to_maxent_correlation():
     p = ideal_tilted_correlation(spec)
     q = ideal_maxent_correlation(4)
     assert np.max(np.abs(p.table - q.table)) < 1e-9
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_plain_strategy_is_tilted_at_uniform_coefficients_bit_for_bit(d):
+    # the plain strategy as assembled before it was routed through the tilted one:
+    # state eye(d)/sqrt(d), Bob's angles +-pi/4 on every block
+    from chshd.ideal import _blockwise_pvm
+
+    blocks = n_blocks(d)
+    alice = [
+        _blockwise_pvm(d, False, [0.0] * blocks),
+        _blockwise_pvm(d, False, [math.pi / 2] * blocks),
+        _blockwise_pvm(d, True, [math.pi / 2] * blocks),
+    ]
+    bob = [
+        _blockwise_pvm(d, primed, [sign * math.pi / 4] * blocks)
+        for primed in (False, True)
+        for sign in (1, -1)
+    ]
+    s = ideal_maxent_strategy(d)
+    assert s.state.tobytes() == (np.eye(d) / math.sqrt(d)).reshape(-1).astype(complex).tobytes()
+    assert s.alice_pvms.tobytes() == np.array(alice).tobytes()
+    assert s.bob_pvms.tobytes() == np.array(bob).tobytes()
+    assert s.alice_pvms.dtype == s.bob_pvms.dtype == np.complex128
