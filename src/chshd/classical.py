@@ -103,7 +103,7 @@ def classical_max(
         values = _total(*np.ix_(*(r[y, b] for y, b in enumerate(answers))))
         hits = np.nonzero(values >= floor)
         for fb in np.column_stack([b[k] for b, k in zip(answers, hits)]).tolist():
-            argmax.append(DeterministicStrategy(fA=fa, fB=tuple(fb)))
+            argmax.append(DeterministicStrategy._trusted(fa, tuple(fb)))
 
     reference = classical_reference_bound(d)
     note = None

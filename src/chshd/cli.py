@@ -242,6 +242,7 @@ def _require_json_format(args, command: str) -> None:
 
 
 def cmd_build(args) -> int:
+    _require_json_format(args, "build")
     f, params = _resolve_functional(args)
     _emit(args, params, {"functional": functional_to_dict(f)})
     return 0

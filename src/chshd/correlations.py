@@ -141,22 +141,33 @@ class ChshStrategy(QuantumStrategy):
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """Classical strategy: fixed answers ``fA[x]`` for Alice and ``fB[y]`` for Bob."""
+    """Classical strategy: fixed answers ``fA[x]`` for Alice and ``fB[y]`` for Bob.
+
+    Answers must be non-negative Python or NumPy integers (``bool`` and
+    non-integral numbers are refused); they are stored as tuples of ``int``.
+    """
 
     fA: tuple[int, int, int]
     fB: tuple[int, int, int, int]
 
     def __post_init__(self):
-        fA = tuple(int(v) for v in self.fA)
-        fB = tuple(int(v) for v in self.fB)
-        if len(fA) != 3:
-            raise ShapeMismatchError(f"fA must assign answers to 3 questions, got {len(fA)}")
-        if len(fB) != 4:
-            raise ShapeMismatchError(f"fB must assign answers to 4 questions, got {len(fB)}")
-        if any(v < 0 for v in fA + fB):
-            raise InputError("deterministic answers must be non-negative integers")
-        object.__setattr__(self, "fA", fA)
-        object.__setattr__(self, "fB", fB)
+        for name, questions in (("fA", 3), ("fB", 4)):
+            answers = tuple(getattr(self, name))
+            if len(answers) != questions:
+                raise ShapeMismatchError(
+                    f"{name} must assign answers to {questions} questions, got {len(answers)}"
+                )
+            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0 for v in answers):
+                raise InputError(f"deterministic answers must be non-negative integers: {name}={answers}")
+            object.__setattr__(self, name, tuple(map(int, answers)))
+
+    @classmethod
+    def _trusted(cls, fA: tuple[int, ...], fB: tuple[int, ...]) -> DeterministicStrategy:
+        """Strategy from answer tuples of non-negative Python ``int``, not validated again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "fA", fA)
+        object.__setattr__(s, "fB", fB)
+        return s
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,14 @@ def test_classical_max_reproduces_frozen_results(key):
     assert res.value == want["value"]
     assert len(res.argmax) == want["argmax_count"]
     assert hashlib.sha256(listing.encode()).hexdigest() == want["argmax_sha256"]
+
+
+def test_argmax_entries_match_publicly_built_strategies():
+    res = classical_max(build_maxent(3, 0.0, allow_zero_epsilon=True))
+    assert len(res.argmax) > 1
+    for s in res.argmax:
+        public = DeterministicStrategy(fA=s.fA, fB=s.fB)
+        assert type(s) is DeterministicStrategy
+        assert all(type(v) is int for v in s.fA + s.fB)
+        assert s == public and hash(s) == hash(public) and repr(s) == repr(public)
+    assert len(set(res.argmax)) == len(res.argmax)

@@ -307,6 +307,15 @@ def test_eval_rejects_csv_format(capsys, tmp_path):
     assert code == 2
 
 
+def test_build_rejects_csv_format(capsys, tmp_path):
+    out = tmp_path / "bell.csv"
+    assert main(["build", "--d", "3", "--format", "csv", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "build has no CSV representation" in captured.err
+    assert not out.exists()
+
+
 def test_epsilon_zero_allowed_when_requested(capsys):
     code, doc = run_json(
         capsys, "build", "--d", "3", "--epsilon", "0", "--allow-zero-epsilon"

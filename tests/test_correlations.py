@@ -95,6 +95,28 @@ def test_deterministic_strategy_validation():
         DeterministicStrategy(fA=(0, -1, 0), fB=(0, 0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "fA,fB",
+    [
+        ((1.5, 0, 0), (0, 0, 0, 0)),
+        ((0, 0, 0), (0, 0, 0, 2.9)),
+        ((True, 0, 0), (0, 0, 0, 0)),
+        ((0, 0, 0), (0, np.bool_(True), 0, 0)),
+        ((0, 0, 0), (0, 0, 0, np.float64(2.0))),
+        ((0, "1", 0), (0, 0, 0, 0)),
+    ],
+)
+def test_deterministic_strategy_refuses_non_integer_answers(fA, fB):
+    with pytest.raises(InputError, match="integers"):
+        DeterministicStrategy(fA=fA, fB=fB)
+
+
+def test_deterministic_strategy_accepts_numpy_integers():
+    s = DeterministicStrategy(fA=np.array([0, 1, 2]), fB=(np.int64(3), np.int32(2), np.uint8(1), 0))
+    assert s == DeterministicStrategy(fA=(0, 1, 2), fB=(3, 2, 1, 0))
+    assert all(type(v) is int for v in s.fA + s.fB)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshd import (
     ChshdError,
+    Correlation,
+    CrossDiagonalMode,
     InputError,
     NumericalIntegrityError,
+    QuantumStrategy,
     SeesawConfig,
     build_maxent,
     build_tilted,
@@ -29,6 +34,7 @@ from chshd.serialize import (
     complex_matrix_to_lists,
     correlation_from_dict,
     correlation_to_dict,
+    dumps_json,
     functional_from_dict,
     functional_to_dict,
     read_json,
@@ -203,3 +209,136 @@ def test_write_json_atomic_refuses_nan(tmp_path):
     with pytest.raises(NumericalIntegrityError):
         write_json_atomic(target, {"x": float("nan")})
     assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
+
+
+# ---------------------------------------------------------------------------
+# the emitter: byte-identical to json.dumps(indent=2, allow_nan=False)
+# ---------------------------------------------------------------------------
+
+TEXT = st.text(st.sampled_from('"\\,:[]{} \n\t\x00aZé∑中😀') | st.characters(), max_size=10)
+BIG = st.integers(min_value=2**63, max_value=2**200)
+INTS = st.integers() | BIG | BIG.map(lambda n: -n)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXT | FLOATS.map(np.float64)
+LEAF_LISTS = st.lists(INTS, max_size=6) | st.lists(FLOATS, max_size=6) | st.lists(SCALARS, max_size=6)
+
+
+def _nested(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+    )
+
+
+DOCS = st.dictionaries(TEXT, st.recursive(SCALARS | LEAF_LISTS, _nested, max_leaves=12), max_size=3)
+
+
+def _buried(bad):
+    """Documents that hold one of ``bad`` at some depth, among finite siblings."""
+
+    def around(inner):
+        return (
+            st.builds(
+                lambda pre, x, post: [*pre, x, *post],
+                st.lists(FLOATS, max_size=3), inner, st.lists(INTS, max_size=2),
+            )
+            | st.builds(lambda x: (x,), inner)
+            | st.builds(
+                lambda extra, k, x: {**extra, k: x},
+                st.dictionaries(TEXT, SCALARS, max_size=2), TEXT, inner,
+            )
+        )
+
+    return st.recursive(st.sampled_from(bad), around, max_leaves=6).map(lambda x: {"doc": x})
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCS)
+def test_dumps_json_is_byte_identical_to_json_dumps(doc):
+    assert dumps_json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_buried([math.nan, math.inf, -math.inf, np.float64("nan")]))
+def test_dumps_json_refuses_non_finite_numbers_at_any_depth(doc):
+    with pytest.raises(ValueError) as reference:
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(NumericalIntegrityError) as refused:
+        dumps_json(doc)
+    assert str(refused.value) == f"refusing to emit a non-finite number: {reference.value}"
+
+
+@settings(max_examples=50, deadline=None)
+@given(_buried([np.int64(3), np.float32(0.5), np.bool_(True), {1, 2}, frozenset()]))
+def test_dumps_json_refuses_values_json_cannot_encode(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        dumps_json(doc)
+
+
+def test_dumps_json_refuses_keys_that_are_not_strings():
+    with pytest.raises(TypeError):
+        dumps_json({"a": {1: "one"}})
+
+
+# ---------------------------------------------------------------------------
+# round trips through the emitter, bit for bit
+# ---------------------------------------------------------------------------
+
+SCALES = st.sampled_from([1.0, 1e-310, 1e300, -0.0])
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 2), st.integers(0, 2), SCALES)
+def test_random_strategy_round_trips_bit_for_bit(seed, d, wider_a, wider_b, scale):
+    rng = np.random.default_rng(seed)
+    dA, dB = d + wider_a, d + wider_b
+
+    def cplx(*shape):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    s = QuantumStrategy(
+        d=d, dA=dA, dB=dB, state=cplx(dA * dB), alice_pvms=cplx(3, d, dA, dA), bob_pvms=cplx(4, d, dB, dB)
+    )
+    t = strategy_from_dict(json.loads(dumps_json(strategy_to_dict(s))))
+    assert (t.d, t.dA, t.dB) == (d, dA, dB)
+    for name in ("state", "alice_pvms", "bob_pvms"):
+        assert _bits(getattr(t, name)) == _bits(getattr(s, name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans(), SCALES)
+def test_random_correlation_round_trips_bit_for_bit(seed, d, quantum_generated, scale):
+    table = scale * np.random.default_rng(seed).random((3, 4, d, d))
+    p = Correlation(d=d, table=table, quantum_generated=quantum_generated)
+    q = correlation_from_dict(json.loads(dumps_json(correlation_to_dict(p))))
+    assert (q.d, q.quantum_generated) == (d, quantum_generated)
+    assert _bits(q.table) == _bits(p.table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.floats(0.0, 2.0),
+    st.sampled_from(list(CrossDiagonalMode)),
+    st.booleans(),
+)
+def test_random_functional_round_trips_bit_for_bit(seed, d, epsilon, mode, tilted):
+    if tilted:
+        c = 0.1 + np.random.default_rng(seed).random(d)
+        f = build_tilted(c / np.linalg.norm(c), epsilon, mode, allow_zero_epsilon=True)
+    else:
+        f = build_maxent(d, epsilon, mode, allow_zero_epsilon=True)
+    g = functional_from_dict(json.loads(dumps_json(functional_to_dict(f))))
+    fields = ("d", "epsilon", "variant", "mode", "tilted_spec")
+    assert [getattr(g, k) for k in fields] == [getattr(f, k) for k in fields]
+    assert _bits(g.coeff) == _bits(f.coeff)
