@@ -371,6 +371,13 @@ class TiltedSpec:
         )
 
 
+@lru_cache(maxsize=None)
+def uniform_spec(d: int) -> TiltedSpec:
+    """The spec at the uniform coefficients ``1/sqrt(d)``, where the tilted family meets the plain one."""
+    _check_d(d)
+    return TiltedSpec.from_coefficients((1 / math.sqrt(d),) * d)
+
+
 # ---------------------------------------------------------------------------
 # functional container and builders
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlations import Correlation, QuantumStrategy, correlation_from_quantum
-from .errors import InputError
-from .functionals import TiltedSpec, block_answer_pairs, n_blocks
+from .functionals import TiltedSpec, block_answer_pairs, n_blocks, uniform_spec
 
 
 def pair_projectors(mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -68,9 +67,7 @@ def ideal_maxent_strategy(d: int) -> QuantumStrategy:
 
     It is the tilted strategy at the uniform coefficients ``1/sqrt(d)``.
     """
-    if d < 2:
-        raise InputError(f"local dimension must satisfy d >= 2, got {d}")
-    return ideal_tilted_strategy(TiltedSpec.from_coefficients((1 / math.sqrt(d),) * d))
+    return ideal_tilted_strategy(uniform_spec(d))
 
 
 @lru_cache(maxsize=None)

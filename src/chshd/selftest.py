@@ -9,18 +9,26 @@ rigid shape which these routines check directly:
 3. each block value saturates its weighted maximum, ``w_m * 2 sqrt(2)``;
 4. the block weights are uniform: ``2/d`` per block, plus ``1/d`` on each
    leftover diagonal for odd ``d``;
-5. every populated block, renormalized and reduced to bit labels, reproduces
-   the ideal two-outcome CHSH correlation entrywise;
+5. every populated block, renormalized by its weight, matches the ideal
+   correlation's own block renormalized the same way, entrywise;
 6. the full table matches the ideal correlation entrywise (at a looser
    tolerance), confirming that the local certificates pin down the unique
    global maximizer.
 
-The tilted variant runs the same structural checks against its own ideal
-correlation (block values saturate ``w_m * i_alpha[m]``, weights match the
-squared target coefficients, block shapes match the per-block tilted-CHSH
-correlations), but since its quantum bound is conjectural for ``d > 2`` a
-fully consistent correlation is labelled *conjecture-consistent*, never
+The tilted family generalizes this structure to a target state with Schmidt
+coefficients ``c``: block values saturate ``w_m * i_alpha[m]``, the weight
+of the block on answers ``(u, v)`` is ``c_u^2 + c_v^2`` and the block shapes
+are those of the tilted ideal correlation.  Both verifiers run this one
+structural check on a :class:`~chshd.functionals.TiltedSpec`; the plain
+family is the tilted structure at the uniform spec ``c = 1/sqrt(d)``, whose
+block maxima are ``2 sqrt(2)`` and whose weights are ``2/d`` and ``1/d`` up
+to round-off.  Each verifier keeps its own block functionals, bound and
+verdict labels: since the tilted bound is conjectural for ``d > 2``, a fully
+consistent correlation is labelled *conjecture-consistent*, never
 *self-tested*.
+
+A verification tolerance outside ``0 <= tol < inf`` is refused with
+:class:`~chshd.errors.InputError` before any work.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +45,11 @@ from .errors import CrossTermMassError, InputError, UndefinedBlockError
 from .functionals import (
     BellFunctional,
     CrossDiagonalMode,
+    TiltedSpec,
     Variant,
     _check_block,
+    _read_only,
+    block_answer_pairs,
     block_index,
     chsh_m_value,
     chsh_prime_m_value,
@@ -51,6 +62,7 @@ from .functionals import (
     tchsh_m_value,
     tchsh_prime_m_value,
     tilted_quantum_bound,
+    uniform_spec,
 )
 from .ideal import ideal_maxent_correlation, ideal_tilted_correlation
 
@@ -97,6 +109,26 @@ def _anchored_mass(p: Correlation, index: tuple, primed: bool) -> tuple[float, f
     return float(anchor), float(np.abs(masses - anchor).max())
 
 
+@lru_cache(maxsize=None)
+def _blocks_index(d: int) -> tuple[np.ndarray, ...]:
+    """Index ``[k, x, y, a, b]`` gathering every block, plain ones first.
+
+    Each block is laid out as :func:`block_index` gives it, except that primed
+    blocks list question 2 before question 0, so that every block's anchor
+    questions, ``(0, 0)`` or ``(2, 2)``, come first.
+    """
+    blocks = [block_index(d, m, primed) for primed in families(d) for m in range(n_blocks(d))]
+    x, y, a, b = map(np.stack, zip(*blocks))
+    x[n_blocks(d) :] = x[n_blocks(d) :, ::-1]
+    return _read_only(x, y, a, b)
+
+
+def _renormalized_blocks(table: np.ndarray, d: int, keep: np.ndarray) -> np.ndarray:
+    """The kept blocks of ``table``, ``[k, x, y, a, b]``, each divided by its anchor weight."""
+    blocks = table[_blocks_index(d)][keep]
+    return blocks / blocks[:, 0, 0].sum(axis=(1, 2))[:, None, None, None, None]
+
+
 def extract_block_weights(
     p: Correlation,
     mode: CrossDiagonalMode = CrossDiagonalMode.EXCLUDE,
@@ -113,17 +145,15 @@ def extract_block_weights(
     if not mass <= tol:
         raise CrossTermMassError(mass, tol)
     d = p.d
-    blocks = {
-        primed: [_anchored_mass(p, block_index(d, m, primed), primed) for m in range(n_blocks(d))]
-        for primed in families(d)
-    }
-    w, w_prime = blocks[False], blocks.get(True, [])
+    masses = p.table[_blocks_index(d)].sum(axis=(3, 4))  # [k, x, y], anchor questions first
+    anchors = masses[:, 0, 0]
+    residual = float(np.abs(masses - anchors[:, None, None]).max())
     leftover = [_anchored_mass(p, leftover_index(d, pr), pr) for pr in (False, True) if d % 2]
     return BlockWeights(
-        w=tuple(v for v, _ in w),
-        w_prime=tuple(v for v, _ in w_prime),
+        w=tuple(anchors[: n_blocks(d)].tolist()),
+        w_prime=tuple(anchors[n_blocks(d) :].tolist()),
         leftover=tuple(v for v, _ in leftover),
-        consistency_residual=max(r for _, r in w + w_prime + leftover),
+        consistency_residual=max([residual, *(r for _, r in leftover)]),
     )
 
 
@@ -210,65 +240,61 @@ def _check(name: str, measured: float, tolerance: float) -> SelfTestCheck:
     )
 
 
+def _check_inputs(p: Correlation, f: BellFunctional, tol: float, variant: Variant, what: str) -> None:
+    """Refuse a functional of another variant, a dimension mismatch and a tolerance outside ``[0, inf)``."""
+    if f.variant is not variant or (variant is Variant.TILTED and f.tilted_spec is None):
+        raise InputError(f"expected {what} functional, got variant {f.variant.value!r}")
+    if p.d != f.d:
+        raise InputError(f"dimension mismatch: correlation d={p.d}, functional d={f.d}")
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"verification tolerance must satisfy 0 <= tol < inf, got {tol}")
+
+
 def _structural_report(
     p: Correlation,
     f: BellFunctional,
     tol: float,
+    spec: TiltedSpec,
+    ideal: Correlation,
     bound: float,
     block_values: Sequence[float],
-    block_maxima: Sequence[float],
-    weight_targets: tuple[Sequence[float], Sequence[float], Sequence[float]],
-    reference_block: Callable[[int, bool], Correlation],
-    ideal: Correlation,
     verdicts: tuple[str, str],
 ) -> SelfTestReport:
-    """Assemble the report from the family-specific targets.
+    """Assemble the report against ``ideal``, the ideal correlation of ``spec``.
 
-    ``block_values`` lists the measured block functionals (plain blocks first,
-    then primed), ``block_maxima`` the per-block quantum maxima so that block
-    ``k`` must saturate ``weight_k * block_maxima[k]``.
+    ``block_values`` lists the measured block functionals, plain blocks
+    first.  Block k on answers ``(u, v)`` must carry weight ``c_u^2 + c_v^2``
+    and saturate ``w_k * i_alpha[k]`` (primed blocks: ``i_alpha_prime``);
+    the odd-d leftover diagonals must carry ``c_{d-1}^2`` and ``c_0^2``.
     """
     d = f.d
     value = evaluate(f, p)
-    checks = [_check("attains_bound", abs(value - bound), tol)]
-
     mass = cross_mass(p, f.mode)
-    checks.append(_check("cross_terms_vanish", mass, tol))
-
-    # Raw masses regardless of cross mass: the dedicated check above already
-    # reports it, and this keeps every criterion measurable on perturbed input.
+    # Raw masses regardless of cross mass: the dedicated check reports it, and
+    # this keeps every criterion measurable on perturbed input.
     weights = extract_block_weights(p, f.mode, tol=math.inf)
-    all_weights = weights.w + weights.w_prime
+    c = spec.c
+    targets = [c[u] ** 2 + c[v] ** 2 for primed in families(d) for u, v in block_answer_pairs(d, primed)]
+    w = weights.w + weights.w_prime
+    maxima = spec.i_alpha + spec.i_alpha_prime  # zip stops at the blocks present
+    saturation = max(abs(value_k - w_k * max_k) for value_k, w_k, max_k in zip(block_values, w, maxima))
+    # For even d there is no leftover, and zip drops the two leftover targets.
+    pairs = zip(w + weights.leftover, targets + [c[d - 1] ** 2, c[0] ** 2])
+    weight_dev = max(weights.consistency_residual, *(abs(got - want) for got, want in pairs))
 
-    saturation = max(
-        abs(value_k - w_k * max_k)
-        for value_k, w_k, max_k in zip(block_values, all_weights, block_maxima)
+    # Each populated block against the ideal's block, both renormalized.
+    populated = np.array(w) > max(tol, WEIGHT_FLOOR)
+    got, want = (_renormalized_blocks(t.table, d, populated) for t in (p, ideal))
+    block_dev = float(np.abs(got - want).max(initial=0.0))
+
+    checks = (
+        _check("attains_bound", abs(value - bound), tol),
+        _check("cross_terms_vanish", mass, tol),
+        _check("blocks_saturate", saturation, tol),
+        _check("block_weights_match", weight_dev, tol),
+        _check("block_shape_matches", block_dev, tol),
+        _check("matches_ideal_correlation", np.abs(p.table - ideal.table).max(), IDEAL_COMPARISON_FACTOR * tol),
     )
-    checks.append(_check("blocks_saturate", saturation, tol))
-
-    weight_dev = weights.consistency_residual
-    for got, want in zip(weights.w, weight_targets[0]):
-        weight_dev = max(weight_dev, abs(got - want))
-    for got, want in zip(weights.w_prime, weight_targets[1]):
-        weight_dev = max(weight_dev, abs(got - want))
-    for got, want in zip(weights.leftover, weight_targets[2]):
-        weight_dev = max(weight_dev, abs(got - want))
-    checks.append(_check("block_weights_match", weight_dev, tol))
-
-    block_dev = 0.0
-    for primed in families(d):
-        for m in range(n_blocks(d)):
-            weight = (weights.w_prime if primed else weights.w)[m]
-            if weight <= tol:
-                continue  # unpopulated: nothing to compare
-            block = block_correlation(p, m, primed=primed)
-            dev = float(np.max(np.abs(block.table - reference_block(m, primed).table)))
-            block_dev = max(block_dev, dev)
-    checks.append(_check("block_shape_matches", block_dev, tol))
-
-    ideal_dev = float(np.max(np.abs(p.table - ideal.table)))
-    checks.append(_check("matches_ideal_correlation", ideal_dev, IDEAL_COMPARISON_FACTOR * tol))
-
     passed = all(c.passed for c in checks)
     return SelfTestReport(
         d=d,
@@ -278,7 +304,7 @@ def _structural_report(
         cross_mass=mass,
         weights=weights,
         block_deviation=block_dev,
-        checks=tuple(checks),
+        checks=checks,
         passed=passed,
         verdict=verdicts[0] if passed else verdicts[1],
     )
@@ -291,36 +317,19 @@ def verify_selftest(p: Correlation, f: BellFunctional, tol: float = VERIFY_TOL) 
     ``"self-tested"`` iff all of them pass at their tolerance, and a passing
     correlation is guaranteed (and confirmed entrywise by the final check) to
     equal the ideal correlation.
-    """
-    if f.variant is not Variant.MAXENT:
-        raise InputError(
-            f"expected a maximal-entanglement functional, got variant {f.variant.value!r}"
-        )
-    if p.d != f.d:
-        raise InputError(f"dimension mismatch: correlation d={p.d}, functional d={f.d}")
-    d = f.d
 
+    Raises:
+        InputError: for a functional of another variant, a dimension
+            mismatch, or a tolerance outside ``0 <= tol < inf``.
+    """
+    _check_inputs(p, f, tol, Variant.MAXENT, "a maximal-entanglement")
+    d = f.d
     block_values = [chsh_m_value(p, m) for m in range(n_blocks(d))]
     if d > 2:
         block_values += [chsh_prime_m_value(p, m) for m in range(n_blocks(d))]
-    n_total = len(block_values)
-
-    uniform = tuple(2.0 / d for _ in range(n_blocks(d)))
     return _structural_report(
-        p,
-        f,
-        tol,
-        bound=quantum_bound(d),
-        block_values=block_values,
-        block_maxima=[2.0 * math.sqrt(2.0)] * n_total,
-        weight_targets=(
-            uniform,
-            uniform if d > 2 else (),
-            (1.0 / d, 1.0 / d) if d % 2 else (),
-        ),
-        reference_block=lambda m, primed: ideal_chsh_block(),
-        ideal=ideal_maxent_correlation(d),
-        verdicts=("self-tested", "failed"),
+        p, f, tol, uniform_spec(d), ideal_maxent_correlation(d), quantum_bound(d), block_values,
+        ("self-tested", "failed"),
     )
 
 
@@ -334,39 +343,17 @@ def verify_selftest_tilted(
     equal to the squared target coefficients, and block shapes taken from the
     tilted ideal correlation.  Because the bound is proved only for d = 2, a
     fully consistent correlation is labelled ``"conjecture-consistent"``.
+
+    Raises:
+        InputError: for a functional of another variant, a dimension
+            mismatch, or a tolerance outside ``0 <= tol < inf``.
     """
-    if f.variant is not Variant.TILTED or f.tilted_spec is None:
-        raise InputError(f"expected a tilted functional, got variant {f.variant.value!r}")
-    if p.d != f.d:
-        raise InputError(f"dimension mismatch: correlation d={p.d}, functional d={f.d}")
-    d = f.d
+    _check_inputs(p, f, tol, Variant.TILTED, "a tilted")
     spec = f.tilted_spec
-
-    block_values = [tchsh_m_value(p, m, spec.alpha[m]) for m in range(n_blocks(d))]
-    block_maxima = list(spec.i_alpha)
-    if d > 2:
-        block_values += [tchsh_prime_m_value(p, m, spec.alpha_prime[m]) for m in range(n_blocks(d))]
-        block_maxima += list(spec.i_alpha_prime)
-
-    c = spec.c
-    w_target = tuple(c[2 * m] ** 2 + c[2 * m + 1] ** 2 for m in range(n_blocks(d)))
-    wp_target = tuple(
-        c[(2 * m + 1) % d] ** 2 + c[(2 * m + 2) % d] ** 2 for m in range(n_blocks(d))
-    )
-    ideal = ideal_tilted_correlation(spec)
+    block_values = [tchsh_m_value(p, m, alpha) for m, alpha in enumerate(spec.alpha)]
+    if f.d > 2:
+        block_values += [tchsh_prime_m_value(p, m, alpha) for m, alpha in enumerate(spec.alpha_prime)]
     return _structural_report(
-        p,
-        f,
-        tol,
-        bound=tilted_quantum_bound(d),
-        block_values=block_values,
-        block_maxima=block_maxima,
-        weight_targets=(
-            w_target,
-            wp_target if d > 2 else (),
-            (c[d - 1] ** 2, c[0] ** 2) if d % 2 else (),
-        ),
-        reference_block=lambda m, primed: block_correlation(ideal, m, primed=primed),
-        ideal=ideal,
-        verdicts=("conjecture-consistent", "inconsistent"),
+        p, f, tol, spec, ideal_tilted_correlation(spec), tilted_quantum_bound(f.d), block_values,
+        ("conjecture-consistent", "inconsistent"),
     )

@@ -9,6 +9,25 @@ load, and a file whose stored values disagree with the rebuilt ones is
 refused.  Writes are atomic (temp file + rename) so readers never observe a
 partial artifact, and NaN or infinity is never written, since it is not JSON.
 
+Documents of dataclasses are written by one walker, :func:`to_dict`, which
+the public ``correlation_to_dict``, ``strategy_to_dict``,
+``functional_to_dict``, ``tilted_spec_to_dict``, ``block_weights_to_dict``
+and ``report_to_dict`` all name.  A dataclass becomes a ``kind`` tag, taken
+from one type-to-kind table by ``isinstance`` (so a ``ChshStrategy`` is a
+``"strategy"``; tilted specs, block weights and checks carry no tag),
+followed by its fields in declaration order; an enum becomes its value, a
+tuple a list, a real array nested lists and a complex array nested
+``[real, imag]`` pairs.  The key order of a document is therefore its
+dataclass's field order.
+
+Two documents are written by hand.  The classical result lists up to tens of
+thousands of deterministic strategies (12,800 at epsilon = 0, d = 8), which
+the walker would visit one object at a time, about three times slower than
+the direct listing.  The see-saw result document is not a copy of its
+dataclass: it leaves out ``pair_cap_hits``, orders its keys differently and
+includes the best strategy only on request; that strategy is written by the
+walker.
+
 Every document is rendered by :func:`dumps_json`, a small recursive emitter
 whose output is byte-identical to ``json.dumps(doc, indent=2,
 allow_nan=False)`` for documents with string keys.  ``json.dumps`` with an
@@ -24,6 +43,8 @@ import json
 import math
 import os
 import tempfile
+from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
@@ -41,7 +62,7 @@ from .functionals import (
     build_tilted,
 )
 from .seesaw import SeesawResult
-from .selftest import BlockWeights, SelfTestReport
+from .selftest import SelfTestReport
 
 #: Largest tolerated difference between a stored value and its rebuilt counterpart.
 REBUILD_TOL = 1e-12
@@ -99,17 +120,56 @@ def _field(doc: dict, key: str, what: str, convert: Callable[[Any], Any]) -> Any
 
 
 # ---------------------------------------------------------------------------
-# correlations and strategies
+# documents of dataclasses
 # ---------------------------------------------------------------------------
 
+#: The ``kind`` tag of each document type, matched by ``isinstance`` (so a
+#: ``ChshStrategy`` is a ``"strategy"``); other dataclasses carry no tag.
+_KINDS = (
+    (Correlation, "correlation"),
+    (QuantumStrategy, "strategy"),
+    (BellFunctional, "functional"),
+    (SelfTestReport, "selftest_report"),
+)
 
-def correlation_to_dict(p: Correlation) -> dict:
-    return {
-        "kind": "correlation",
-        "d": p.d,
-        "table": p.table.tolist(),
-        "quantum_generated": p.quantum_generated,
-    }
+
+@lru_cache(maxsize=None)
+def _layout(cls: type) -> tuple[dict, tuple[str, ...]]:
+    """The ``kind`` head of a dataclass's document and its field names in declaration order."""
+    head = next(({"kind": kind} for base, kind in _KINDS if issubclass(cls, base)), {})
+    return head, tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _to_dict(o: Any) -> Any:
+    if isinstance(o, Enum):
+        return o.value
+    if isinstance(o, tuple):
+        return [_to_dict(v) for v in o]
+    if isinstance(o, np.ndarray):
+        return complex_to_lists(o) if np.iscomplexobj(o) else o.tolist()
+    if dataclasses.is_dataclass(o):
+        head, names = _layout(type(o))
+        return head | {name: _to_dict(getattr(o, name)) for name in names}
+    return o
+
+
+def to_dict(obj: Any) -> dict:
+    """JSON-ready document of a dataclass: its ``kind`` tag, then its fields in declaration order.
+
+    Field values convert recursively: a dataclass becomes its document, an
+    enum its value, a tuple a list, a real array nested lists and a complex
+    array nested ``[real, imag]`` pairs; anything else is kept as is.
+    """
+    return _to_dict(obj)
+
+
+correlation_to_dict = strategy_to_dict = functional_to_dict = to_dict
+tilted_spec_to_dict = block_weights_to_dict = report_to_dict = to_dict
+
+
+# ---------------------------------------------------------------------------
+# correlations and strategies
+# ---------------------------------------------------------------------------
 
 
 def correlation_from_dict(doc: dict) -> Correlation:
@@ -118,18 +178,6 @@ def correlation_from_dict(doc: dict) -> Correlation:
         table=_require(doc, "table", "correlation"),
         quantum_generated=bool(doc.get("quantum_generated", False)),
     )
-
-
-def strategy_to_dict(s: QuantumStrategy) -> dict:
-    return {
-        "kind": "strategy",
-        "d": s.d,
-        "dA": s.dA,
-        "dB": s.dB,
-        "state": complex_to_lists(s.state),
-        "alice_pvms": complex_to_lists(s.alice_pvms),
-        "bob_pvms": complex_to_lists(s.bob_pvms),
-    }
 
 
 def strategy_from_dict(doc: dict) -> QuantumStrategy:
@@ -165,10 +213,6 @@ def _check_rebuilt(what: str, stored: Any, rebuilt: np.ndarray) -> None:
         )
 
 
-def tilted_spec_to_dict(spec: TiltedSpec) -> dict:
-    return {f.name: list(getattr(spec, f.name)) for f in dataclasses.fields(spec)}
-
-
 def tilted_spec_from_dict(doc: dict) -> TiltedSpec:
     """Rebuild the spec from its coefficients ``c``; every stored field must agree."""
     c = _field(doc, "c", "tilted spec", lambda values: tuple(float(v) for v in values))
@@ -177,18 +221,6 @@ def tilted_spec_from_dict(doc: dict) -> TiltedSpec:
         stored = _require(doc, f.name, "tilted spec")
         _check_rebuilt(f"tilted spec field {f.name!r}", stored, getattr(spec, f.name))
     return spec
-
-
-def functional_to_dict(f: BellFunctional) -> dict:
-    return {
-        "kind": "functional",
-        "d": f.d,
-        "epsilon": f.epsilon,
-        "variant": f.variant.value,
-        "mode": f.mode.value,
-        "coeff": f.coeff.tolist(),
-        "tilted_spec": None if f.tilted_spec is None else tilted_spec_to_dict(f.tilted_spec),
-    }
 
 
 def functional_from_dict(doc: dict) -> BellFunctional:
@@ -220,39 +252,6 @@ def functional_from_dict(doc: dict) -> BellFunctional:
 # ---------------------------------------------------------------------------
 
 
-def block_weights_to_dict(w: BlockWeights) -> dict:
-    return {
-        "w": list(w.w),
-        "w_prime": list(w.w_prime),
-        "leftover": list(w.leftover),
-        "consistency_residual": w.consistency_residual,
-    }
-
-
-def report_to_dict(report: SelfTestReport) -> dict:
-    return {
-        "kind": "selftest_report",
-        "d": report.d,
-        "variant": report.variant.value,
-        "bell_value": report.bell_value,
-        "bound": report.bound,
-        "cross_mass": report.cross_mass,
-        "weights": block_weights_to_dict(report.weights),
-        "block_deviation": report.block_deviation,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "measured": c.measured,
-                "tolerance": c.tolerance,
-            }
-            for c in report.checks
-        ],
-        "passed": report.passed,
-        "verdict": report.verdict,
-    }
-
-
 def classical_result_to_dict(result: ClassicalMaxResult) -> dict:
     return {
         "kind": "classical_max",
@@ -273,7 +272,7 @@ def seesaw_result_to_dict(result: SeesawResult, include_strategy: bool = True) -
         "trajectory": [list(t) for t in result.trajectory],
     }
     if include_strategy:
-        doc["best_strategy"] = strategy_to_dict(result.best_strategy)
+        doc["best_strategy"] = to_dict(result.best_strategy)
     return doc
 
 

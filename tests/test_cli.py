@@ -543,3 +543,29 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert read_json(out)["d"] == 64  # --out was written before stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
+def test_verify_bad_tolerance_exits_two_before_verifying(capsys, tmp_path, monkeypatch, tol):
+    corr, out = tmp_path / "corr.json", tmp_path / "report.json"
+    assert main(["ideal", "--d", "3", "--out", str(corr)]) == 0
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the verification ran")
+
+    monkeypatch.setattr("chshd.selftest.evaluate", fail)
+    assert main(["verify", "--d", "3", "--correlation", str(corr), f"--tol={tol}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: verification tolerance must satisfy 0 <= tol < inf")
+    assert not out.exists()
+
+
+def test_verify_zero_tolerance_is_legal(capsys, tmp_path):
+    corr = tmp_path / "corr.json"
+    assert main(["ideal", "--d", "3", "--out", str(corr)]) == 0
+    capsys.readouterr()
+    code, doc = run_json(capsys, "verify", "--d", "3", "--correlation", str(corr), "--tol", "0")
+    assert code in (0, 1)  # round-off may fail a check at tolerance 0; no refusal
+    assert doc["manifest"]["parameters"]["tol"] == 0.0

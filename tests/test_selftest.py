@@ -328,3 +328,37 @@ def test_verify_tilted_flags_perturbed_correlation():
     report = verify_selftest_tilted(mixed, f)
     assert not report.passed and report.verdict == "inconsistent"
     assert not report.check("attains_bound").passed
+
+
+# ---------------------------------------------------------------------------
+# tolerance refusal
+# ---------------------------------------------------------------------------
+
+
+BAD_TOLERANCES = [math.nan, math.inf, -math.inf, -1.0, -1e-300]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_verifiers_refuse_bad_tolerance_before_any_work(tol, monkeypatch):
+    f, ft = build_maxent(3, 0.1), build_tilted((0.6, 0.8), 0.1)
+    p, pt = ideal_maxent_correlation(3), ideal_tilted_correlation(ft.tilted_spec)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the verification ran")
+
+    for name in ("evaluate", "chsh_m_value", "tchsh_m_value", "ideal_tilted_correlation"):
+        monkeypatch.setattr(f"chshd.selftest.{name}", fail)
+    with pytest.raises(InputError, match="tolerance"):
+        verify_selftest(p, f, tol=tol)
+    with pytest.raises(InputError, match="tolerance"):
+        verify_selftest_tilted(pt, ft, tol=tol)
+
+
+def test_zero_tolerance_and_unguarded_extraction_stay_legal():
+    p = ideal_maxent_correlation(4)
+    report = verify_selftest(p, build_maxent(4, 0.1), tol=0.0)
+    assert all(c.tolerance == 0.0 for c in report.checks)
+    assert report.block_deviation == 0.0  # the ideal's own blocks, renormalized alike
+    ft = build_tilted((0.6, 0.8), 0.1)
+    assert verify_selftest_tilted(ideal_tilted_correlation(ft.tilted_spec), ft, tol=0.0).d == 2
+    assert extract_block_weights(uniform_correlation(4), tol=math.inf).w == (0.25, 0.25)
