@@ -22,8 +22,9 @@ dataclass's field order.
 
 Two documents are written by hand.  The classical result lists up to tens of
 thousands of deterministic strategies (12,800 at epsilon = 0, d = 8), which
-the walker would visit one object at a time, about three times slower than
-the direct listing.  The see-saw result document is not a copy of its
+the walker would visit one object and one answer at a time, about twenty
+times slower than the direct listing (56 ms against 2.7 ms at d = 8 on a
+2-core Xeon host).  The see-saw result document is not a copy of its
 dataclass: it leaves out ``pair_cap_hits``, orders its keys differently and
 includes the best strategy only on request; that strategy is written by the
 walker.
