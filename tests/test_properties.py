@@ -48,7 +48,7 @@ def test_reduction_identity_with_greedy_signs(d, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(2, 5), tilted=st.booleans(), weight=st.floats(0.0, 1.0), seed=SEEDS)
-def test_evaluate_is_linear_on_mixtures(d, tilted, weight, seed):
+def test_evaluate_is_linear_on_mixtures_and_scalings(d, tilted, weight, seed):
     rng = np.random.default_rng(seed)
     if tilted:
         c = rng.uniform(0.2, 1.0, d)
@@ -59,6 +59,8 @@ def test_evaluate_is_linear_on_mixtures(d, tilted, weight, seed):
     mixture = Correlation(d=d, table=weight * p.table + (1 - weight) * q.table)
     expected = weight * evaluate(f, p) + (1 - weight) * evaluate(f, q)
     assert abs(evaluate(f, mixture) - expected) <= 1e-12
+    scaled = Correlation(d=d, table=weight * p.table)  # a mixture alone would let an offset pass
+    assert abs(evaluate(f, scaled) - weight * evaluate(f, p)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)

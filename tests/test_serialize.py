@@ -1,5 +1,6 @@
 """JSON round-trips for correlations, strategies, functionals, and results."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chshd import (
     ChshdError,
+    ChshStrategy,
     Correlation,
     CrossDiagonalMode,
     InputError,
@@ -18,6 +20,7 @@ from chshd import (
     SeesawConfig,
     build_maxent,
     build_tilted,
+    chsh_reduction_even,
     classical_max,
     correlation_from_quantum,
     evaluate,
@@ -44,6 +47,7 @@ from chshd.serialize import (
     strategy_to_dict,
     tilted_spec_from_dict,
     tilted_spec_to_dict,
+    to_dict,
     write_json_atomic,
 )
 
@@ -342,3 +346,30 @@ def test_random_functional_round_trips_bit_for_bit(seed, d, epsilon, mode, tilte
     fields = ("d", "epsilon", "variant", "mode", "tilted_spec")
     assert [getattr(g, k) for k in fields] == [getattr(f, k) for k in fields]
     assert _bits(g.coeff) == _bits(f.coeff)
+
+
+def test_to_dict_walker_rules():
+    """Kind tag first, then the fields in declaration order; enums as plain values."""
+    f = build_tilted((0.6, 0.8), 0.1)
+    report = verify_selftest(ideal_maxent_correlation(3), build_maxent(3, 0.1))
+    chsh = chsh_reduction_even(ideal_maxent_strategy(4), (0,))
+    assert isinstance(chsh, ChshStrategy)
+    cases = [
+        (ideal_maxent_correlation(2), "correlation"),
+        (ideal_maxent_strategy(2), "strategy"),
+        (chsh, "strategy"),
+        (f, "functional"),
+        (report, "selftest_report"),
+        (f.tilted_spec, None),
+        (report.weights, None),
+    ]
+    for obj, kind in cases:
+        doc = to_dict(obj)
+        fields = [field.name for field in dataclasses.fields(obj)]
+        assert list(doc) == (["kind"] if kind else []) + fields
+        assert doc.get("kind") == kind
+    doc = to_dict(f)
+    assert type(doc["variant"]) is str and type(doc["mode"]) is str
+    assert type(doc["tilted_spec"]["c"]) is list
+    assert to_dict(report)["checks"][0] == dataclasses.asdict(report.checks[0])
+    assert np.array(to_dict(chsh)["state"]).shape == (chsh.dA * chsh.dB, 2)
