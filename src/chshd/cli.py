@@ -54,10 +54,8 @@ from .functionals import (
     build_maxent,
     build_tilted,
     evaluate,
-    quantum_bound,
-    tilted_quantum_bound,
 )
-from .ideal import ideal_maxent_correlation, ideal_tilted_correlation
+from .ideal import ideal_tilted_correlation
 from .seesaw import InitKind, SeesawConfig, seesaw
 from .selftest import VERIFY_TOL, verify_selftest, verify_selftest_tilted
 from .serialize import (
@@ -309,17 +307,12 @@ def cmd_classical(args) -> int:
 def cmd_ideal(args) -> int:
     _require_json_format(args, "ideal")
     f, params = _resolve_functional(args)
-    if f.variant is Variant.TILTED:
-        p = ideal_tilted_correlation(f.tilted_spec)
-        bound = tilted_quantum_bound(f.d)
-    else:
-        p = ideal_maxent_correlation(f.d)
-        bound = quantum_bound(f.d)
+    p = ideal_tilted_correlation(f.spec)
     doc = {
         "d": f.d,
         "variant": f.variant.value,
         "bell_value": evaluate(f, p),
-        "bound": bound,
+        "bound": f.bound,
         "correlation": correlation_to_dict(p),
     }
     _emit(args, params, doc)
@@ -368,10 +361,7 @@ def cmd_verify(args) -> int:
     f, params = _resolve_functional(args)
     p = _load(args.correlation, "correlation", correlation_from_dict)
     params |= {"correlation": args.correlation, "tol": args.tol}
-    if f.variant is Variant.TILTED:
-        report = verify_selftest_tilted(p, f, tol=args.tol)
-    else:
-        report = verify_selftest(p, f, tol=args.tol)
+    report = (verify_selftest if f.variant is Variant.MAXENT else verify_selftest_tilted)(p, f, tol=args.tol)
     _emit(args, params, report_to_dict(report))
     return 0 if report.passed else 1
 

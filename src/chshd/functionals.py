@@ -42,7 +42,7 @@ enforces this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -352,30 +352,29 @@ class TiltedSpec:
             raise InputError(
                 f"state coefficients must be normalized: |sum c_i^2 - 1| = {norm_defect:.3e} > {tol:.3e}"
             )
-        theta, theta_prime = [], []
-        for m in range(d // 2):
-            theta.append(math.atan2(c[2 * m + 1], c[2 * m]))
-            theta_prime.append(math.atan2(c[(2 * m + 2) % d], c[2 * m + 1]))
-        alpha = [_alpha_from_theta(t) for t in theta]
-        alpha_prime = [_alpha_from_theta(t) for t in theta_prime]
-        return cls(
-            c=c,
-            theta=tuple(theta),
-            alpha=tuple(alpha),
-            i_alpha=tuple(math.sqrt(8.0 + 2.0 * a * a) for a in alpha),
-            mu=tuple(math.atan(math.sin(2 * t)) for t in theta),
-            theta_prime=tuple(theta_prime),
-            alpha_prime=tuple(alpha_prime),
-            i_alpha_prime=tuple(math.sqrt(8.0 + 2.0 * a * a) for a in alpha_prime),
-            mu_prime=tuple(math.atan(math.sin(2 * t)) for t in theta_prime),
-        )
+        return cls(c, *_block_parameters(c, primed=False), *_block_parameters(c, primed=True))
+
+
+def _block_parameters(c: tuple[float, ...], primed: bool) -> tuple[tuple[float, ...], ...]:
+    """``(theta, alpha, i_alpha, mu)`` of one block family, one entry per block on answers ``(u, v)``."""
+    theta = tuple(math.atan2(c[v], c[u]) for u, v in block_answer_pairs(len(c), primed))
+    alpha = tuple(_alpha_from_theta(t) for t in theta)
+    i_alpha = tuple(math.sqrt(8.0 + 2.0 * a * a) for a in alpha)
+    return theta, alpha, i_alpha, tuple(math.atan(math.sin(2 * t)) for t in theta)
 
 
 @lru_cache(maxsize=None)
 def uniform_spec(d: int) -> TiltedSpec:
-    """The spec at the uniform coefficients ``1/sqrt(d)``, where the tilted family meets the plain one."""
+    """The spec at the uniform coefficients ``1/sqrt(d)``, where the tilted family meets the plain one.
+
+    Every tilt vanishes there, so ``alpha`` and ``alpha_prime`` are exactly 0
+    and the plain family's blocks are untilted CHSH blocks;
+    :meth:`TiltedSpec.from_coefficients` leaves the round-off of
+    ``cos(2 * atan2(c, c))``, about 9e-17, in each.
+    """
     _check_d(d)
-    return TiltedSpec.from_coefficients((1 / math.sqrt(d),) * d)
+    zero = (0.0,) * n_blocks(d)
+    return replace(TiltedSpec.from_coefficients((1 / math.sqrt(d),) * d), alpha=zero, alpha_prime=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,12 @@ def uniform_spec(d: int) -> TiltedSpec:
 
 @dataclass(frozen=True)
 class BellFunctional:
-    """A linear functional on correlations, stored as its coefficient tensor."""
+    """A linear functional on correlations, stored as its coefficient tensor.
+
+    The variant is decided here: a tilted functional carries the
+    :class:`TiltedSpec` of its target state and a plain one carries none.
+    :attr:`spec` and :attr:`bound` give every caller the target of either.
+    """
 
     d: int
     epsilon: float
@@ -401,6 +405,23 @@ class BellFunctional:
                 f"coefficient tensor must have shape (3, 4, {self.d}, {self.d}), got {coeff.shape}"
             )
         object.__setattr__(self, "coeff", coeff)
+        tilted = self.variant is Variant.TILTED
+        if tilted != (self.tilted_spec is not None):
+            raise InputError(
+                f"a {self.variant.value} functional {'needs a' if tilted else 'carries no'} tilted spec"
+            )
+        if tilted and self.tilted_spec.d != self.d:
+            raise InputError(f"functional d={self.d} but its tilted spec has d={self.tilted_spec.d}")
+
+    @property
+    def spec(self) -> TiltedSpec:
+        """The target's spec: the tilted spec, or the uniform one for the plain family."""
+        return self.tilted_spec or uniform_spec(self.d)
+
+    @property
+    def bound(self) -> float:
+        """The value of the ideal strategy: ``1 + [d > 2]`` tilted, ``2 sqrt(2) (1 + [d > 2])`` plain."""
+        return tilted_quantum_bound(self.d) if self.variant is Variant.TILTED else quantum_bound(self.d)
 
 
 def _check_epsilon(epsilon: float, allow_zero_epsilon: bool) -> None:

@@ -60,7 +60,12 @@ def _blockwise_pvm(d: int, primed: bool, mu_of_block: Sequence[float]) -> np.nda
     return pvm
 
 
-@lru_cache(maxsize=None)
+#: Entries of each of the two per-spec caches below: room for the plain
+#: targets at d = 2..16 and the seven tilted targets that the ``exact``
+#: benchmark workload verifies, with ten to spare.
+IDEAL_CACHE_SIZE = 32
+
+
 def ideal_maxent_strategy(d: int) -> QuantumStrategy:
     """Optimal strategy for the plain functional: maximally entangled state,
     per-block CHSH measurements (Bob at angles +-pi/4).
@@ -70,13 +75,13 @@ def ideal_maxent_strategy(d: int) -> QuantumStrategy:
     return ideal_tilted_strategy(uniform_spec(d))
 
 
-@lru_cache(maxsize=None)
 def ideal_maxent_correlation(d: int) -> Correlation:
-    return correlation_from_quantum(ideal_maxent_strategy(d))
+    return ideal_tilted_correlation(uniform_spec(d))
 
 
+@lru_cache(maxsize=IDEAL_CACHE_SIZE)
 def ideal_tilted_strategy(spec: TiltedSpec) -> QuantumStrategy:
-    """Strategy attaining the tilted functional's target value.
+    """Strategy attaining the tilted functional's target value, cached per spec.
 
     The state is ``sum_i c_i |ii>``; Alice measures as in the plain case and
     Bob's block angles are ``mu_m = arctan(sin 2 theta_m)`` (primed blocks
@@ -101,5 +106,6 @@ def ideal_tilted_strategy(spec: TiltedSpec) -> QuantumStrategy:
     return QuantumStrategy(d=d, dA=d, dB=d, state=state, alice_pvms=alice, bob_pvms=bob)
 
 
+@lru_cache(maxsize=IDEAL_CACHE_SIZE)
 def ideal_tilted_correlation(spec: TiltedSpec) -> Correlation:
     return correlation_from_quantum(ideal_tilted_strategy(spec))

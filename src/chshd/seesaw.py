@@ -54,7 +54,7 @@ from .correlations import (
     correlation_from_quantum,
 )
 from .errors import InputError, NumericalIntegrityError
-from .functionals import CHSH_SIGNS, BellFunctional, Variant, chsh_m_value
+from .functionals import CHSH_SIGNS, BellFunctional, chsh_m_value
 from .ideal import ideal_maxent_strategy, ideal_tilted_strategy
 
 #: Slack allowed on trajectory monotonicity (round-off only).
@@ -158,11 +158,7 @@ def _perturbation_unitary(dim: int, noise: float, rng: np.random.Generator) -> n
 
 
 def _perturbed_ideal(f: BellFunctional, noise: float, rng: np.random.Generator) -> QuantumStrategy:
-    base = (
-        ideal_tilted_strategy(f.tilted_spec)
-        if f.variant is Variant.TILTED and f.tilted_spec is not None
-        else ideal_maxent_strategy(f.d)
-    )
+    base = ideal_tilted_strategy(f.spec)
 
     def jiggle(pvms: np.ndarray, dim: int) -> np.ndarray:
         u = np.stack([_perturbation_unitary(dim, noise, rng) for _ in pvms])[:, None]

@@ -19,13 +19,15 @@ The tilted family generalizes this structure to a target state with Schmidt
 coefficients ``c``: block values saturate ``w_m * i_alpha[m]``, the weight
 of the block on answers ``(u, v)`` is ``c_u^2 + c_v^2`` and the block shapes
 are those of the tilted ideal correlation.  Both verifiers run this one
-structural check on a :class:`~chshd.functionals.TiltedSpec`; the plain
-family is the tilted structure at the uniform spec ``c = 1/sqrt(d)``, whose
-block maxima are ``2 sqrt(2)`` and whose weights are ``2/d`` and ``1/d`` up
-to round-off.  Each verifier keeps its own block functionals, bound and
-verdict labels: since the tilted bound is conjectural for ``d > 2``, a fully
-consistent correlation is labelled *conjecture-consistent*, never
-*self-tested*.
+structural check on the functional's target, read from the functional:
+its :class:`~chshd.functionals.TiltedSpec` (``f.spec``), the ideal
+correlation of that spec and the bound (``f.bound``).  The plain family is
+the tilted structure at the uniform spec ``c = 1/sqrt(d)``, whose tilts are
+0, whose block maxima are ``2 sqrt(2)`` and whose weights are ``2/d`` and
+``1/d`` up to round-off.  The verifiers differ only in the variant they
+accept and in their verdict labels: since the tilted bound is conjectural for
+``d > 2``, a fully consistent correlation is labelled
+*conjecture-consistent*, never *self-tested*.
 
 A verification tolerance outside ``0 <= tol < inf`` is refused with
 :class:`~chshd.errors.InputError` before any work.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -45,24 +46,17 @@ from .errors import CrossTermMassError, InputError, UndefinedBlockError
 from .functionals import (
     BellFunctional,
     CrossDiagonalMode,
-    TiltedSpec,
     Variant,
+    _block_value,
     _check_block,
     _read_only,
     block_answer_pairs,
     block_index,
-    chsh_m_value,
-    chsh_prime_m_value,
     cross_value,
     evaluate,
     families,
     leftover_index,
     n_blocks,
-    quantum_bound,
-    tchsh_m_value,
-    tchsh_prime_m_value,
-    tilted_quantum_bound,
-    uniform_spec,
 )
 from .ideal import ideal_maxent_correlation, ideal_tilted_correlation
 
@@ -185,9 +179,11 @@ def block_correlation(
 
 @lru_cache(maxsize=1)
 def ideal_chsh_block() -> Correlation:
-    """The ideal two-outcome CHSH correlation every block is compared against.
+    """The ideal two-outcome CHSH correlation: the d = 2 plain ideal on questions 0 and 1.
 
-    Generated once from the d = 2 ideal strategy rather than hard-coded.
+    Generated once from the d = 2 ideal strategy rather than hard-coded.  The
+    verifiers' shape check does not use it: each block is compared with the
+    same block of the ideal correlation of the functional's spec.
     """
     full = ideal_maxent_correlation(2)
     return Correlation(d=2, table=full.table[:2, :2].copy(), quantum_generated=True)
@@ -240,9 +236,14 @@ def _check(name: str, measured: float, tolerance: float) -> SelfTestCheck:
     )
 
 
-def _check_inputs(p: Correlation, f: BellFunctional, tol: float, variant: Variant, what: str) -> None:
+#: Verdict labels ``(passed, failed)`` by variant value.  The tilted bound is
+#: conjectural for d > 2, so a consistent tilted correlation is never *self-tested*.
+_VERDICTS = {"maxent": ("self-tested", "failed"), "tilted": ("conjecture-consistent", "inconsistent")}
+
+
+def _check_inputs(p: Correlation, f: BellFunctional, tol: float, variant: str, what: str) -> None:
     """Refuse a functional of another variant, a dimension mismatch and a tolerance outside ``[0, inf)``."""
-    if f.variant is not variant or (variant is Variant.TILTED and f.tilted_spec is None):
+    if f.variant.value != variant:
         raise InputError(f"expected {what} functional, got variant {f.variant.value!r}")
     if p.d != f.d:
         raise InputError(f"dimension mismatch: correlation d={p.d}, functional d={f.d}")
@@ -250,34 +251,30 @@ def _check_inputs(p: Correlation, f: BellFunctional, tol: float, variant: Varian
         raise InputError(f"verification tolerance must satisfy 0 <= tol < inf, got {tol}")
 
 
-def _structural_report(
-    p: Correlation,
-    f: BellFunctional,
-    tol: float,
-    spec: TiltedSpec,
-    ideal: Correlation,
-    bound: float,
-    block_values: Sequence[float],
-    verdicts: tuple[str, str],
-) -> SelfTestReport:
-    """Assemble the report against ``ideal``, the ideal correlation of ``spec``.
+def _structural_report(p: Correlation, f: BellFunctional, tol: float) -> SelfTestReport:
+    """Assemble the report against the ideal correlation of ``f.spec``.
 
-    ``block_values`` lists the measured block functionals, plain blocks
-    first.  Block k on answers ``(u, v)`` must carry weight ``c_u^2 + c_v^2``
-    and saturate ``w_k * i_alpha[k]`` (primed blocks: ``i_alpha_prime``);
-    the odd-d leftover diagonals must carry ``c_{d-1}^2`` and ``c_0^2``.
+    Block k on answers ``(u, v)``, plain blocks first, is measured with its
+    tilt ``alpha[k]`` (``alpha_prime`` for primed blocks; 0 for the plain
+    family); it must carry weight ``c_u^2 + c_v^2`` and saturate
+    ``w_k * i_alpha[k]``.  The odd-d leftover diagonals must carry
+    ``c_{d-1}^2`` and ``c_0^2``.
     """
-    d = f.d
+    d, spec = f.d, f.spec
+    ideal = ideal_tilted_correlation(spec)
     value = evaluate(f, p)
     mass = cross_mass(p, f.mode)
     # Raw masses regardless of cross mass: the dedicated check reports it, and
     # this keeps every criterion measurable on perturbed input.
     weights = extract_block_weights(p, f.mode, tol=math.inf)
-    c = spec.c
-    targets = [c[u] ** 2 + c[v] ** 2 for primed in families(d) for u, v in block_answer_pairs(d, primed)]
-    w = weights.w + weights.w_prime
-    maxima = spec.i_alpha + spec.i_alpha_prime  # zip stops at the blocks present
-    saturation = max(abs(value_k - w_k * max_k) for value_k, w_k, max_k in zip(block_values, w, maxima))
+    c, w = spec.c, weights.w + weights.w_prime
+    blocks = [(pr, m, pair) for pr in families(d) for m, pair in enumerate(block_answer_pairs(d, pr))]
+    # zip stops at the blocks present: d = 2 has no primed ones.
+    per_block = zip(blocks, w, spec.alpha + spec.alpha_prime, spec.i_alpha + spec.i_alpha_prime)
+    saturation = max(
+        abs(_block_value(p, m, pr, alpha) - w_k * max_k) for (pr, m, _), w_k, alpha, max_k in per_block
+    )
+    targets = [c[u] ** 2 + c[v] ** 2 for _, _, (u, v) in blocks]
     # For even d there is no leftover, and zip drops the two leftover targets.
     pairs = zip(w + weights.leftover, targets + [c[d - 1] ** 2, c[0] ** 2])
     weight_dev = max(weights.consistency_residual, *(abs(got - want) for got, want in pairs))
@@ -288,7 +285,7 @@ def _structural_report(
     block_dev = float(np.abs(got - want).max(initial=0.0))
 
     checks = (
-        _check("attains_bound", abs(value - bound), tol),
+        _check("attains_bound", abs(value - f.bound), tol),
         _check("cross_terms_vanish", mass, tol),
         _check("blocks_saturate", saturation, tol),
         _check("block_weights_match", weight_dev, tol),
@@ -300,13 +297,13 @@ def _structural_report(
         d=d,
         variant=f.variant,
         bell_value=value,
-        bound=bound,
+        bound=f.bound,
         cross_mass=mass,
         weights=weights,
         block_deviation=block_dev,
         checks=checks,
         passed=passed,
-        verdict=verdicts[0] if passed else verdicts[1],
+        verdict=_VERDICTS[f.variant.value][0 if passed else 1],
     )
 
 
@@ -322,15 +319,8 @@ def verify_selftest(p: Correlation, f: BellFunctional, tol: float = VERIFY_TOL) 
         InputError: for a functional of another variant, a dimension
             mismatch, or a tolerance outside ``0 <= tol < inf``.
     """
-    _check_inputs(p, f, tol, Variant.MAXENT, "a maximal-entanglement")
-    d = f.d
-    block_values = [chsh_m_value(p, m) for m in range(n_blocks(d))]
-    if d > 2:
-        block_values += [chsh_prime_m_value(p, m) for m in range(n_blocks(d))]
-    return _structural_report(
-        p, f, tol, uniform_spec(d), ideal_maxent_correlation(d), quantum_bound(d), block_values,
-        ("self-tested", "failed"),
-    )
+    _check_inputs(p, f, tol, "maxent", "a maximal-entanglement")
+    return _structural_report(p, f, tol)
 
 
 def verify_selftest_tilted(
@@ -348,12 +338,5 @@ def verify_selftest_tilted(
         InputError: for a functional of another variant, a dimension
             mismatch, or a tolerance outside ``0 <= tol < inf``.
     """
-    _check_inputs(p, f, tol, Variant.TILTED, "a tilted")
-    spec = f.tilted_spec
-    block_values = [tchsh_m_value(p, m, alpha) for m, alpha in enumerate(spec.alpha)]
-    if f.d > 2:
-        block_values += [tchsh_prime_m_value(p, m, alpha) for m, alpha in enumerate(spec.alpha_prime)]
-    return _structural_report(
-        p, f, tol, spec, ideal_tilted_correlation(spec), tilted_quantum_bound(f.d), block_values,
-        ("conjecture-consistent", "inconsistent"),
-    )
+    _check_inputs(p, f, tol, "tilted", "a tilted")
+    return _structural_report(p, f, tol)

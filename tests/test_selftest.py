@@ -346,7 +346,7 @@ def test_verifiers_refuse_bad_tolerance_before_any_work(tol, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the verification ran")
 
-    for name in ("evaluate", "chsh_m_value", "tchsh_m_value", "ideal_tilted_correlation"):
+    for name in ("evaluate", "_block_value", "ideal_tilted_correlation"):
         monkeypatch.setattr(f"chshd.selftest.{name}", fail)
     with pytest.raises(InputError, match="tolerance"):
         verify_selftest(p, f, tol=tol)
