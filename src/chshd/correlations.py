@@ -36,6 +36,20 @@ VALIDATION_TOL = 1e-9
 #: Tolerated imaginary residue on Born-rule probabilities.
 IMAG_TOL = 1e-9
 
+#: Largest estimated peak, in bytes, of one ideal-strategy construction or one
+#: see-saw state step.  Larger requests are refused before they allocate; 1 GiB
+#: admits ``chshd ideal`` up to d = 168 and square see-saw spaces up to 57.
+MEMORY_BUDGET = 1 << 30
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse with :class:`InputError` a step whose estimated peak exceeds :data:`MEMORY_BUDGET`."""
+    if nbytes > MEMORY_BUDGET:
+        raise InputError(
+            f"{what} needs about {nbytes / 2**20:,.0f} MiB, "
+            f"above the memory budget of {MEMORY_BUDGET / 2**20:,.0f} MiB"
+        )
+
 
 def finite_array(values, dtype, what: str) -> np.ndarray:
     """Read-only array copy of ``values``.

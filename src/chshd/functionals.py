@@ -446,11 +446,16 @@ def _assemble(
     ``blocks`` lists plain blocks before primed ones.  Each entry takes at
     most one term of each kind, in the fixed order block sign, plain marginal,
     primed marginal, ``-epsilon``, bonus, so the tensor is reproducible bit for
-    bit: exact classical values and their argmax ties depend on it.
+    bit: exact classical values and their argmax ties depend on it.  Terms are
+    added in place on their block's entries, so memory stays ``O(d^2)``.
     """
-    coeff = sum(scale * _block_tensors(d, m, primed)[0] for primed, m, scale, _ in blocks)
+    coeff = np.zeros((3, 4, d, d))
+    for primed, m, scale, _ in blocks:
+        coeff[block_index(d, m, primed)] += scale * CHSH_SIGNS
     for primed, m, scale, alpha in blocks:
-        coeff += scale * alpha * _block_tensors(d, m, primed)[1]
+        u, v = block_answer_pairs(d, primed)[m]
+        coeff[0, 0, u] += scale * alpha
+        coeff[0, 0, v] -= scale * alpha
     c, c_prime = _cross_masks(d, mode)
     coeff -= epsilon * (c | c_prime)
     if d % 2 == 1:

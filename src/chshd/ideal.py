@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlations import Correlation, QuantumStrategy, correlation_from_quantum
+from .correlations import Correlation, QuantumStrategy, check_memory, correlation_from_quantum
 from .functionals import TiltedSpec, block_answer_pairs, n_blocks, uniform_spec
 
 
@@ -90,6 +90,9 @@ def ideal_tilted_strategy(spec: TiltedSpec) -> QuantumStrategy:
     are signed accordingly.
     """
     d = spec.d
+    # Seven (d, d, d) complex PVMs, built and then copied into the read-only
+    # strategy; the Born rule's (3, d, d, d) intermediates need less.
+    check_memory(14 * 16 * d**3, f"the ideal strategy at d={d}")
     blocks = n_blocks(d)
     alice = [
         _blockwise_pvm(d, False, [0.0] * blocks),  # computational basis

@@ -51,6 +51,7 @@ from .correlations import (
     ChshStrategy,
     Correlation,
     QuantumStrategy,
+    check_memory,
     correlation_from_quantum,
 )
 from .errors import InputError, NumericalIntegrityError
@@ -92,11 +93,13 @@ class SeesawConfig:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         # Written so that NaN fails them: every comparison with NaN is false.
-        if not self.convergence_tol > 0:
-            raise InputError(f"convergence_tol must be positive, got {self.convergence_tol}")
-        if not self.init_noise >= 0:
-            raise InputError(f"init_noise must be non-negative, got {self.init_noise}")
+        if not 0 < self.convergence_tol < math.inf:
+            raise InputError(f"convergence_tol must be positive and finite, got {self.convergence_tol}")
+        if not 0 <= self.init_noise < math.inf:
+            raise InputError(f"init_noise must be non-negative and finite, got {self.init_noise}")
 
 
 @dataclass(frozen=True)
@@ -303,6 +306,9 @@ def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawRe
         raise InputError(f"local dimensions must be at least d={f.d}, got dA={dA}, dB={dB}")
     if config.init is InitKind.IDEAL_PERTURBED and (dA != f.d or dB != f.d):
         raise InputError("ideal-perturbed initialization requires dA == dB == d")
+    # The state step holds about six (dA*dB)^2 complex matrices: the Bell
+    # operator, its einsum intermediate, and eigh's copy, eigenvectors and workspace.
+    check_memory(6 * 16 * (dA * dB) ** 2, f"the see-saw state step at dA={dA}, dB={dB}")
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best_value, best_strategy, best_restart = -math.inf, None, -1

@@ -202,10 +202,24 @@ def test_seesaw_nan_settings_exit_two_before_optimizing(capsys, monkeypatch):
         raise AssertionError("the optimization ran")
 
     monkeypatch.setattr("chshd.cli.seesaw", fail)
-    for flag in ("--tol", "--noise"):
-        assert main(["seesaw", "--d", "2", "--restarts", "1", "--seed", "0", flag, "nan"]) == 2
+    settings = [("--tol", "nan"), ("--noise", "nan"), ("--tol", "inf"), ("--noise", "inf"), ("--seed", "-1")]
+    names = {"--tol": "convergence_tol", "--noise": "init_noise", "--seed": "seed"}
+    for flag, value in settings:
+        assert main(["seesaw", "--d", "2", "--restarts", "1", "--seed", "0", flag, value]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == "" and captured.err.startswith(f"error: {names[flag]} must be ")
+
+
+def test_memory_budget_refusals_exit_two_before_allocating(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the large arrays were allocated")
+
+    monkeypatch.setattr("chshd.ideal._blockwise_pvm", fail)
+    monkeypatch.setattr(sys.modules["chshd.seesaw"], "random_strategy", fail)  # chshd.seesaw is the function
+    for argv in (["ideal", "--d", "400"], ["seesaw", "--d", "2", "--dims", "300,300", "--restarts", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "above the memory budget of 1,024 MiB" in captured.err
 
 
 @pytest.mark.parametrize("key,value", [("variant", "bogus"), ("d", "three")])

@@ -29,7 +29,13 @@ from chshd import (
     tchsh_prime_m_value,
 )
 from chshd import DeterministicStrategy
-from chshd.functionals import ODD_BONUS, PLAIN_QUESTIONS, PRIMED_QUESTIONS
+from chshd.functionals import (
+    ODD_BONUS,
+    PLAIN_QUESTIONS,
+    PRIMED_QUESTIONS,
+    tilted_quantum_bound,
+    uniform_spec,
+)
 
 from oracles import qubit_chsh_table
 
@@ -478,3 +484,34 @@ def test_build_rejects_non_finite_epsilon_naming_epsilon(bad):
         build_maxent(3, bad)
     with pytest.raises(InputError, match="epsilon must be finite"):
         build_tilted((0.8, 0.6), bad)
+
+
+# ---------------------------------------------------------------------------
+# the variant is decided by the functional
+# ---------------------------------------------------------------------------
+
+
+def test_functional_refuses_a_variant_spec_mismatch():
+    tilted = build_tilted((0.6, 0.8), 0.1)
+    plain = build_maxent(3, 0.1)
+    fields = dict(epsilon=0.1, mode=CrossDiagonalMode.EXCLUDE)
+    with pytest.raises(InputError, match="needs a tilted spec"):
+        BellFunctional(d=2, variant=Variant.TILTED, coeff=tilted.coeff, **fields)
+    with pytest.raises(InputError, match="carries no tilted spec"):
+        BellFunctional(d=2, variant=Variant.MAXENT, coeff=tilted.coeff, tilted_spec=tilted.tilted_spec, **fields)
+    with pytest.raises(InputError, match="tilted spec has d=2"):
+        BellFunctional(d=3, variant=Variant.TILTED, coeff=plain.coeff, tilted_spec=tilted.tilted_spec, **fields)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_functional_spec_and_bound(d):
+    f = build_maxent(d, 0.1)
+    assert f.spec is uniform_spec(d)
+    assert f.spec.alpha == f.spec.alpha_prime == (0.0,) * n_blocks(d)  # uniform: every tilt vanishes
+    assert f.bound == quantum_bound(d)
+    rng = np.random.default_rng(d)
+    c = rng.uniform(0.2, 1.0, d)
+    ft = build_tilted(c / np.linalg.norm(c), 0.1)
+    assert ft.spec is ft.tilted_spec
+    assert ft.bound == tilted_quantum_bound(d)
+

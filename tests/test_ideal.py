@@ -24,6 +24,9 @@ from chshd import (
     tchsh_prime_m_value,
     validate_strategy,
 )
+from chshd.correlations import MEMORY_BUDGET, check_memory
+from chshd.errors import InputError
+from chshd.functionals import uniform_spec
 from chshd.ideal import embed_pair, pair_projectors
 
 from oracles import born_table, qubit_chsh_table
@@ -124,6 +127,16 @@ def test_ideal_odd_leftover_masses(d):
 def test_ideal_strategies_are_cached():
     assert ideal_maxent_strategy(4) is ideal_maxent_strategy(4)
     assert ideal_maxent_correlation(4) is ideal_maxent_correlation(4)
+    for d in (2, 3, 6):  # the plain ideal is the cached tilted ideal at the uniform spec
+        assert ideal_maxent_correlation(d) is ideal_tilted_correlation(uniform_spec(d))
+        assert ideal_maxent_strategy(d) is ideal_tilted_strategy(uniform_spec(d))
+    c = (0.3, 0.5, 0.6, math.sqrt(0.3))
+    a, b = TiltedSpec.from_coefficients(c), TiltedSpec.from_coefficients(list(c))
+    assert a is not b and a == b
+    p, s = ideal_tilted_correlation(a), ideal_tilted_strategy(a)
+    assert ideal_tilted_correlation(b) is p and ideal_tilted_strategy(b) is s
+    for array in (p.table, s.state, s.alice_pvms, s.bob_pvms):
+        assert not array.flags.writeable  # one result is shared by every caller
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +218,23 @@ def test_plain_strategy_is_tilted_at_uniform_coefficients_bit_for_bit(d):
     assert s.alice_pvms.tobytes() == np.array(alice).tobytes()
     assert s.bob_pvms.tobytes() == np.array(bob).tobytes()
     assert s.alice_pvms.dtype == s.bob_pvms.dtype == np.complex128
+
+
+# ---------------------------------------------------------------------------
+# memory budget
+# ---------------------------------------------------------------------------
+
+
+def test_ideal_strategy_beyond_the_memory_budget_is_refused_before_allocating(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the projectors were allocated")
+
+    monkeypatch.setattr("chshd.ideal._blockwise_pvm", fail)
+    with pytest.raises(InputError, match="memory budget"):
+        ideal_maxent_strategy(400)
+    with pytest.raises(InputError, match="memory budget"):
+        ideal_maxent_correlation(169)  # 14 complex (d, d, d) arrays just exceed 1 GiB
+    check_memory(MEMORY_BUDGET, "a step at the budget")
+    with pytest.raises(InputError, match="a step over the budget needs about"):
+        check_memory(MEMORY_BUDGET + 1, "a step over the budget")
+

@@ -1,4 +1,4 @@
-"""Property tests on random strategies: the reduction identity, linearity, no-signaling.
+"""Property tests: the reduction identity, linearity, no-signaling, the tilted family's ideal.
 
 These complement the frozen examples in ``test_seesaw.py`` and
 ``test_acceptance.py`` with hypothesis-drawn dimensions and seeds.
@@ -17,8 +17,10 @@ from chshd import (
     chsh_m_value,
     correlation_from_quantum,
     evaluate,
+    ideal_tilted_correlation,
     no_signaling_residual,
     validate_correlation,
+    verify_selftest_tilted,
 )
 from chshd.seesaw import (
     chsh_reduction_even,
@@ -70,3 +72,14 @@ def test_born_tables_are_no_signaling(d, extra_a, extra_b, seed):
     p = correlation_from_quantum(s)
     assert no_signaling_residual(p) <= 1e-12
     assert validate_correlation(p, tol=1e-12).is_valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)))
+def test_tilted_ideal_attains_the_bound_and_is_conjecture_consistent(entries):
+    c = np.array(entries) / np.linalg.norm(entries)  # unsorted: any coefficient may dominate a block
+    f = build_tilted(c, 0.1)
+    p = ideal_tilted_correlation(f.spec)
+    assert abs(evaluate(f, p) - f.bound) <= 1e-12
+    assert verify_selftest_tilted(p, f).verdict == "conjecture-consistent"
+

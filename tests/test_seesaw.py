@@ -112,10 +112,12 @@ def test_seesaw_config_validation():
         SeesawConfig(init_noise=-1e-3)
 
 
-@pytest.mark.parametrize("field", ["convergence_tol", "init_noise"])
+@pytest.mark.parametrize("field", ["convergence_tol", "init_noise", "seed"])
 def test_seesaw_config_rejects_nan(field):
-    with pytest.raises(InputError, match=field):
-        SeesawConfig(**{field: math.nan})
+    bad = {"convergence_tol": (math.nan, math.inf), "init_noise": (math.nan, math.inf), "seed": (-1,)}
+    for value in bad[field]:
+        with pytest.raises(InputError, match=field):
+            SeesawConfig(**{field: value})
 
 
 def test_seesaw_trajectories_are_monotone():
