@@ -268,11 +268,11 @@ def _structural_report(p: Correlation, f: BellFunctional, tol: float) -> SelfTes
     # this keeps every criterion measurable on perturbed input.
     weights = extract_block_weights(p, f.mode, tol=math.inf)
     c, w = spec.c, weights.w + weights.w_prime
-    blocks = [(pr, m, pair) for pr in families(d) for m, pair in enumerate(block_answer_pairs(d, pr))]
+    blocks = [(primed, m, pair) for primed in families(d) for m, pair in enumerate(block_answer_pairs(d, primed))]
     # zip stops at the blocks present: d = 2 has no primed ones.
     per_block = zip(blocks, w, spec.alpha + spec.alpha_prime, spec.i_alpha + spec.i_alpha_prime)
     saturation = max(
-        abs(_block_value(p, m, pr, alpha) - w_k * max_k) for (pr, m, _), w_k, alpha, max_k in per_block
+        abs(_block_value(p, m, primed, alpha) - w_k * max_k) for (primed, m, _), w_k, alpha, max_k in per_block
     )
     targets = [c[u] ** 2 + c[v] ** 2 for _, _, (u, v) in blocks]
     # For even d there is no leftover, and zip drops the two leftover targets.

@@ -514,4 +514,3 @@ def test_functional_spec_and_bound(d):
     ft = build_tilted(c / np.linalg.norm(c), 0.1)
     assert ft.spec is ft.tilted_spec
     assert ft.bound == tilted_quantum_bound(d)
-

@@ -237,4 +237,3 @@ def test_ideal_strategy_beyond_the_memory_budget_is_refused_before_allocating(mo
     check_memory(MEMORY_BUDGET, "a step at the budget")
     with pytest.raises(InputError, match="a step over the budget needs about"):
         check_memory(MEMORY_BUDGET + 1, "a step over the budget")
-

@@ -82,4 +82,3 @@ def test_tilted_ideal_attains_the_bound_and_is_conjecture_consistent(entries):
     p = ideal_tilted_correlation(f.spec)
     assert abs(evaluate(f, p) - f.bound) <= 1e-12
     assert verify_selftest_tilted(p, f).verdict == "conjecture-consistent"
-
