@@ -9,9 +9,17 @@ question, so Bob's best response is ``sum_y max_b rows[y, b]``.  One
 vectorized pass over the ``d^3`` Alice assignments therefore covers all
 ``d^7`` strategies.  The terms are added in a fixed order, and rounded
 addition is monotone, so the best response's float sum is the largest float
-sum of any ``fB``: the value is the one an exhaustive scan finds.  The ties
-are listed from the Alice rows within the tolerance, as products of the
-answers per Bob question that could still be part of a tie.
+sum of any ``fB``: the value is the one an exhaustive scan finds.
+
+The ties are listed from the Alice rows within the tolerance by extending
+Bob's answers one question at a time, in one array pass per question.  A
+prefix ``(fA, fB[0..y])`` survives if its sum, topped up with the later
+questions' maxima, still reaches the floor ``value - tol``; the terms are
+added in the order the full sum uses.  Rounded addition is monotone, so a
+tie's prefixes all reach the floor and no tie is dropped, and at the last
+question the test compares the full sum itself.  Survivors are kept in
+row-major order, which is the lexicographic ``(fA, fB)`` order, and the work
+per question is proportional to the survivors times ``d``.
 
 The plain functional's classical maximum is ``2 (1 + [d > 2])`` for even
 ``d``.  For odd ``d`` the maximum routinely lies strictly above it:
@@ -93,17 +101,21 @@ def classical_max(
     best = float(row_best.max())
 
     floor = best - tie_tol
-    argmax: list[DeterministicStrategy] = []
-    for i in np.flatnonzero(row_best >= floor):
-        fa = tuple(fa_rows[i].tolist())
-        r, t = rows[:, i], top[:, i]
-        # By monotonicity a tie's answer b to question y also ties with the
-        # other questions at their maxima, so these lists hold every tied fB[y].
-        answers = [np.flatnonzero(_total(*t[:y], r[y], *t[y + 1 :]) >= floor) for y in range(4)]
-        values = _total(*np.ix_(*(r[y, b] for y, b in enumerate(answers))))
-        hits = np.nonzero(values >= floor)
-        for fb in np.column_stack([b[k] for b, k in zip(answers, hits)]).tolist():
-            argmax.append(DeterministicStrategy._trusted(fa, tuple(fb)))
+    tied = np.flatnonzero(row_best >= floor)
+    fa = [tuple(a) for a in fa_rows[tied].tolist()]
+    rows, top = rows[:, tied], top[:, tied]
+    # Prefix k of Bob's answers extends tied row owner[k]; partial[k] is its
+    # left-to-right sum and answers holds one column per question so far.
+    owner, partial, answers = np.arange(len(tied)), None, []
+    for y in range(4):
+        sums = rows[y, owner] if y == 0 else partial[:, None] + rows[y, owner]
+        reach = sums
+        for t in top[y + 1 :]:
+            reach = reach + t[owner, None]
+        k, b = np.nonzero(reach >= floor)
+        owner, partial, answers = owner[k], sums[k, b], [a[k] for a in answers] + [b]
+    fb = map(tuple, np.column_stack(answers).tolist())
+    argmax = tuple(map(DeterministicStrategy._trusted, map(fa.__getitem__, owner.tolist()), fb))
 
     reference = classical_reference_bound(d)
     note = None
@@ -115,7 +127,7 @@ def classical_max(
         )
     return ClassicalMaxResult(
         value=best,
-        argmax=tuple(argmax),
+        argmax=argmax,
         strategies_scanned=d**7,
         reference_bound=reference,
         note=note,

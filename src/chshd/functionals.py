@@ -132,21 +132,6 @@ def leftover_index(d: int, primed: bool = False) -> tuple[np.ndarray, ...]:
     return _read_only(*np.ix_(xs, ys, (r,), (r,)))
 
 
-@lru_cache(maxsize=None)
-def _block_tensors(d: int, m: int, primed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient tensors ``(signs, marginal)`` of block m in the full scenario.
-
-    ``signs`` holds the block's CHSH pattern; ``marginal`` is
-    ``p(u | x=0) - p(v | x=0)`` for the block's answers ``(u, v)``, read from
-    the ``y = 0`` column.
-    """
-    signs, marginal = np.zeros((2, 3, 4, d, d))
-    signs[block_index(d, m, primed)] = CHSH_SIGNS
-    u, v = block_answer_pairs(d, primed)[m]
-    marginal[0, 0, u], marginal[0, 0, v] = 1.0, -1.0
-    return _read_only(signs, marginal)
-
-
 def _contract(coeff: np.ndarray, p: Correlation) -> float:
     """Inner product of a full-scenario tensor with ``p`` on the questions both cover."""
     table = p.table[:3, :4]
@@ -193,10 +178,12 @@ def _check_block(d: int, m: int) -> None:
 
 
 def _block_value(p: Correlation, m: int, primed: bool, alpha: float = 0.0) -> float:
+    """Block m's CHSH pattern on its sub-table plus ``alpha [p(u|x=0) - p(v|x=0)]`` from ``y = 0``."""
     _check_full_scenario(p, need_primed=primed)
     _check_block(p.d, m)
-    signs, marginal = _block_tensors(p.d, m, primed)
-    return _contract(signs + alpha * marginal, p)
+    u, v = block_answer_pairs(p.d, primed)[m]
+    marginal = p.table[0, 0, u].sum() - p.table[0, 0, v].sum()
+    return float(np.sum(CHSH_SIGNS * p.table[block_index(p.d, m, primed)]) + alpha * marginal)
 
 
 def _check_alpha(alpha: float) -> float:

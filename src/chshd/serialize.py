@@ -46,6 +46,8 @@ import os
 import tempfile
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -286,6 +288,37 @@ _encode_str = json.encoder.encode_basestring_ascii
 _SCALAR_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
+def _records(o: list, newline: str) -> str | None:
+    """JSON text of a list of same-key dicts of int lists, from one ``%d`` entry template.
+
+    Every item must be an exact ``dict`` with the first item's keys in its
+    order, every value a non-empty exact ``list`` of the first item's length
+    for that key, and every element an exact ``int``; otherwise None.
+    """
+    keys = tuple(o[0])
+    if not keys or set(map(tuple, o)) != {keys}:
+        return None
+    shape = []
+    for column in (list(map(itemgetter(k), o)) for k in keys):
+        if set(map(type, column)) != {list}:
+            return None
+        lengths = set(map(len, column))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape += lengths
+    flat = tuple(chain.from_iterable(chain.from_iterable(map(dict.values, o))))
+    if set(map(type, flat)) != {int}:
+        return None
+    inner, field = newline + "  ", newline + "    "
+    elem = field + "  "
+    fields = (
+        _encode_str(k).replace("%", "%%") + ": [" + elem + ("," + elem).join(["%d"] * n) + field + "]"
+        for k, n in zip(keys, shape)
+    )
+    entry = "{" + field + ("," + field).join(fields) + inner + "}"
+    return ("[" + inner + ("," + inner).join([entry] * len(o)) + newline + "]") % flat
+
+
 def _emit(o: Any, newline: str) -> str:
     """JSON text of ``o`` whose opening line is indented by ``newline`` (``"\\n"`` + spaces)."""
     if isinstance(o, str):
@@ -301,6 +334,8 @@ def _emit(o: Any, newline: str) -> str:
         kinds = set(map(type, o))
         if kinds == {int} or (kinds == {float} and all(map(math.isfinite, o))):
             items = map(type(o[0]).__repr__, o)
+        elif kinds == {dict} and (text := _records(o, newline)) is not None:
+            return text
         else:
             items = (_emit(v, inner) for v in o)
         return "[" + inner + ("," + inner).join(items) + newline + "]" if o else "[]"

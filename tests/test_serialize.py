@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -287,6 +288,79 @@ def test_dumps_json_refuses_values_json_cannot_encode(doc):
 def test_dumps_json_refuses_keys_that_are_not_strings():
     with pytest.raises(TypeError):
         dumps_json({"a": {1: "one"}})
+
+
+# Lists of same-key dicts of int lists (the shape of the classical tie list)
+# are rendered from one entry template; every mutation below must either
+# keep that output identical to json.dumps or fall back to the walker.
+
+Answer = IntEnum("Answer", ["ZERO", "ONE"])
+
+RECORD_MUTATIONS = (
+    "none", "bool", "np.int64", "IntEnum", "big int", "key order",
+    "ragged", "empty list", "empty dict", "nested dict", "dict element",
+)
+
+
+@st.composite
+def RECORDS(draw):
+    """A document holding a list of same-key dicts of int lists, with at most one mutation."""
+    keys = draw(st.lists(st.text(st.sampled_from('fAB%d"é\\'), max_size=3), min_size=1, max_size=3, unique=True))
+    shape = [draw(st.integers(1, 4)) for _ in keys]
+    items = [
+        {k: draw(st.lists(INTS, min_size=n, max_size=n)) for k, n in zip(keys, shape)}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    mutation = draw(st.sampled_from(RECORD_MUTATIONS))
+    i, k = draw(st.integers(0, len(items) - 1)), draw(st.sampled_from(keys))
+    item, j = items[i], draw(st.integers(0, shape[keys.index(k)] - 1))
+    if mutation == "bool":
+        item[k][j] = draw(st.booleans())
+    elif mutation == "np.int64":
+        item[k][j] = np.int64(j)
+    elif mutation == "IntEnum":
+        item[k][j] = Answer.ONE
+    elif mutation == "big int":
+        item[k][j] = draw(BIG | BIG.map(lambda n: -n))
+    elif mutation == "key order":
+        items[i] = dict(reversed(item.items()))
+    elif mutation == "ragged":
+        item[k].append(j)
+    elif mutation == "empty list":
+        item[k] = []
+    elif mutation == "empty dict":
+        items[i] = {}
+    elif mutation == "nested dict":
+        item[k] = {k: item[k]}
+    elif mutation == "dict element":
+        item[k][j] = {k: j}
+    for key in draw(st.lists(TEXT, max_size=2)):
+        items = {key: items}
+    return {"records": items}
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECORDS())
+def test_dumps_json_record_lists_match_json_dumps(doc):
+    try:
+        expected = json.dumps(doc, indent=2, allow_nan=False)
+    except TypeError as reference:
+        with pytest.raises(TypeError) as refused:
+            dumps_json(doc)
+        assert str(refused.value) == str(reference)
+    else:
+        assert dumps_json(doc) == expected
+
+
+@pytest.mark.parametrize("items", [[{}], [{}, {}], [{"fA": []}, {"fA": []}], [{"a%s": [1]}, {"a%s": [2]}]])
+def test_dumps_json_record_edge_cases_match_json_dumps(items):
+    assert dumps_json({"records": items}) == json.dumps({"records": items}, indent=2)
+
+
+def test_dumps_json_classical_tie_list_matches_json_dumps():
+    doc = classical_result_to_dict(classical_max(build_maxent(4, 0.0, allow_zero_epsilon=True)))
+    assert len(doc["argmax"]) > 1000
+    assert dumps_json(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
