@@ -4,6 +4,8 @@ These deliberately take different computational paths from the package:
 explicit Kronecker products for the Born rule, closed-form trigonometry for
 the ideal qubit CHSH table, and direct scans for small classical problems.
 Expected values frozen in the tests were computed with these.
+:func:`reference_pair_ascent` is the exception: it keeps the see-saw pair
+step as first written, so that a faster rewrite can be held to the same bits.
 """
 
 from __future__ import annotations
@@ -77,3 +79,34 @@ def brute_force_classical(coeff: np.ndarray, d: int):
                 best = v
     argmax = [key for key, v in sorted(values.items()) if v >= best - 1e-12]
     return best, argmax
+
+
+def reference_pair_ascent(frame, labels, gains, tol, passes=30):
+    """The see-saw measurement step with its per-pair NumPy bookkeeping, used only as a referee.
+
+    A copy of ``chshd.seesaw._pair_ascent`` as it stood before its bookkeeping
+    moved to Python scalars, with the pass cap ``_PAIR_PASSES`` as a
+    parameter.  Updates ``frame`` and ``labels`` in place and returns the total
+    gain and whether the pass cap was hit.
+    """
+    d = len(gains)
+    total = 0.0
+    for _ in range(passes):
+        pass_gain = 0.0
+        for a in range(d):
+            for b in range(a + 1, d):
+                cols = np.nonzero((labels == a) | (labels == b))[0]
+                if cols.size == 0:
+                    continue
+                basis = frame[:, cols]
+                diff = basis.conj().T @ (gains[a] - gains[b]) @ basis
+                diff = (diff + diff.conj().T) / 2
+                dvals, dvecs = np.linalg.eigh(diff)
+                up = dvals > 0.0
+                pass_gain += dvals[up].sum() - diff.diagonal()[labels[cols] == a].real.sum()
+                frame[:, cols] = basis @ dvecs
+                labels[cols] = np.where(up, a, b)
+        total += pass_gain
+        if pass_gain < tol:
+            return total, False
+    return total, True

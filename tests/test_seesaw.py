@@ -1,12 +1,14 @@
 """Seesaw ascent and CHSH coarse-graining reductions."""
 
+import hashlib
 import importlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chshd import (
@@ -33,6 +35,7 @@ from chshd import (
     validate_strategy,
 )
 from chshd.seesaw import ASCENT_SLACK, haar_unitary, random_strategy
+from oracles import reference_pair_ascent
 
 seesaw_module = importlib.import_module("chshd.seesaw")  # ``chshd.seesaw`` is also the function
 
@@ -256,6 +259,90 @@ def test_pair_ascent_property(d, extra, seed):
     after = measurement_objective(pvm[0], gains)
     assert after >= before - 1e-12
     assert abs(gain - (after - before)) < 1e-10
+
+
+# The pair step against its referee, bit for bit.  Both run in this process,
+# so the comparison holds on any BLAS build.  d = 2 at dim 9 and 10 puts 8 or
+# more columns into one pair, where NumPy's float sums stop adding left to
+# right; a low Schmidt rank gives the round-off eigenvalues the tie rule
+# ``> 0.0`` acts on; ``shift`` makes every eigenvalue of the pairs with
+# answer 0 positive, so all of a pair's columns enter both sums.
+DIMS = st.one_of(
+    st.integers(2, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(d, d + 3))),
+    st.tuples(st.just(2), st.sampled_from([9, 10])),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dims=DIMS,
+    rank_deficit=st.integers(0, 3),
+    shift=st.booleans(),
+    passes=st.sampled_from([1, 2, 30]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(2, 10), rank_deficit=0, shift=True, passes=30, seed=1)
+@example(dims=(2, 9), rank_deficit=2, shift=False, passes=30, seed=2)
+@example(dims=(3, 6), rank_deficit=3, shift=False, passes=30, seed=3)
+def test_pair_ascent_matches_reference_bitwise(dims, rank_deficit, shift, passes, seed):
+    d, dim = dims
+    rng = np.random.default_rng(seed)
+    rank = max(1, dim - rank_deficit)
+    psi = rng.standard_normal((dim, rank)) @ rng.standard_normal((rank, dim))
+    w = rng.standard_normal((d, dim, dim)) + 1j * rng.standard_normal((d, dim, dim))
+    gains = seesaw_module._gains(psi / np.linalg.norm(psi), w + w.conj().swapaxes(-1, -2))
+    if shift:
+        gains[0] += 10.0 * np.eye(dim)
+    frame = haar_unitary(dim, rng)
+    labels = rng.integers(d, size=dim)
+    ref_frame, ref_labels = frame.copy(), labels.copy()
+
+    with mock.patch.object(seesaw_module, "_PAIR_PASSES", passes):
+        gain, capped = seesaw_module._pair_ascent(frame, labels, gains, 1e-10)
+    ref_gain, ref_capped = reference_pair_ascent(ref_frame, ref_labels, gains, 1e-10, passes)
+
+    assert frame.tobytes() == ref_frame.tobytes()
+    assert labels.dtype == ref_labels.dtype and labels.tolist() == ref_labels.tolist()
+    assert gain == ref_gain and capped == ref_capped
+
+
+def run_digest(res) -> str:
+    s = res.best_strategy
+    h = hashlib.sha256(repr((res.best_value, res.trajectory, res.converged, res.pair_cap_hits)).encode())
+    h.update(repr(res.best_restart).encode())
+    for array in (s.state, s.alice_pvms, s.bob_pvms):
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+SEESAW_GATE_CASES = [
+    ("plain", 3, None),
+    ("plain", 4, None),
+    ("plain", 6, None),
+    ("tilted", 4, None),
+    ("plain", 3, (5, 5)),
+    ("plain", 4, (6, 6)),
+    ("plain", 2, (9, 9)),
+]
+
+
+def test_seesaw_runs_match_reference_pair_step(monkeypatch):
+    cap_hits = 0
+    for family, d, dims in SEESAW_GATE_CASES:
+        f = build_tilted(TILTED4, 0.1) if family == "tilted" else build_maxent(d, 0.1)
+        dA, dB = dims if dims is not None else (None, None)
+        cfg = SeesawConfig(dA=dA, dB=dB, restarts=2, seed=1)
+        res = seesaw(f, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(
+                seesaw_module,
+                "_pair_ascent",
+                lambda *args: reference_pair_ascent(*args, passes=seesaw_module._PAIR_PASSES),
+            )
+            ref = seesaw(f, cfg)
+        assert run_digest(res) == run_digest(ref), (family, d, dims)
+        cap_hits += sum(res.pair_cap_hits)
+    assert cap_hits > 0
 
 
 def test_frames_round_trip_and_refuse_rank_defects():
