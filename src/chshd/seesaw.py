@@ -18,8 +18,11 @@ update rotates the columns labelled ``a`` or ``b`` onto the eigenvectors of
 the gain difference restricted to them and relabels them, which costs one
 small ``eigh``; the objective's rise is read from its eigenvalues.  Ranks may
 move between answers, so wider local spaces (``dim > d``) need no special
-case.  Stacked projectors are rebuilt from the frames once per party and
-sweep, for the Bell operator, the gains and the objective.
+case.  Only that matrix arithmetic is NumPy; the labels, column sets and sums
+around it are Python scalars, added in NumPy's order so the results are the
+same bits (see :func:`_pair_ascent`).  Stacked projectors are rebuilt from
+the frames once per party and sweep, for the Bell operator, the gains and the
+objective.
 
 Both steps can only increase the objective, so trajectories are monotone
 non-decreasing up to round-off.  All randomness flows from a single seed;
@@ -257,6 +260,21 @@ def _projectors(frames: np.ndarray, labels: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("xik,xak,xjk->xaij", frames, onehot, frames.conj())
 
 
+def _numpy_sum(values: list[float]) -> float:
+    """``np.add.reduce(values)`` bit for bit.
+
+    NumPy adds fewer than 8 floats left to right and 8 or more in blocked
+    pairwise order, so only the longer lists go back to NumPy.  The explicit
+    loop keeps the left-to-right order on Pythons whose ``sum`` compensates.
+    """
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _pair_ascent(
     frame: np.ndarray, labels: np.ndarray, gains: np.ndarray, tol: float
 ) -> tuple[float, bool]:
@@ -268,29 +286,45 @@ def _pair_ascent(
     The objective ``sum_a Tr[P_a gains[a]]`` then rises by the positive
     eigenvalues' sum minus the old ``a`` columns' diagonal entries.
 
+    The matrix arithmetic is NumPy: the gather of the pair's columns, the
+    restricted difference and its hermitization, one ``np.linalg.eigh`` and
+    the rotation's write-back.  The bookkeeping around it is Python scalars,
+    since most pairs are 2x2 and a NumPy call on them costs more than its
+    work: the labels are a list until the call returns, the column sets and
+    the relabel are loops, the pair differences are formed once per call,
+    and the two sums are added in NumPy's order (:func:`_numpy_sum`), so
+    every result is the same bits as with NumPy bookkeeping.
+
     Returns the total gain and whether the pass cap was hit.
     """
     d = len(gains)
-    total = 0.0
+    diffs = gains[:, None] - gains[None, :]
+    lab = labels.tolist()
+    total, capped = 0.0, True
     for _ in range(_PAIR_PASSES):
         pass_gain = 0.0
         for a in range(d):
             for b in range(a + 1, d):
-                cols = np.nonzero((labels == a) | (labels == b))[0]
-                if cols.size == 0:
+                cols = [k for k, c in enumerate(lab) if c == a or c == b]
+                if not cols:
                     continue
-                basis = frame[:, cols]
-                diff = basis.conj().T @ (gains[a] - gains[b]) @ basis
+                idx = np.array(cols)  # one index array for the gather and the write-back
+                basis = frame[:, idx]
+                diff = basis.conj().T @ diffs[a, b] @ basis
                 diff = (diff + diff.conj().T) / 2
                 dvals, dvecs = np.linalg.eigh(diff)
-                up = dvals > 0.0
-                pass_gain += dvals[up].sum() - diff.diagonal()[labels[cols] == a].real.sum()
-                frame[:, cols] = basis @ dvecs
-                labels[cols] = np.where(up, a, b)
+                vals = dvals.tolist()
+                old = [g for k, g in zip(cols, diff.diagonal().real.tolist()) if lab[k] == a]
+                pass_gain += _numpy_sum([v for v in vals if v > 0.0]) - _numpy_sum(old)
+                frame[:, idx] = basis @ dvecs
+                for k, v in zip(cols, vals):
+                    lab[k] = a if v > 0.0 else b
         total += pass_gain
         if pass_gain < tol:
-            return total, False
-    return total, True
+            capped = False
+            break
+    labels[:] = lab
+    return total, capped
 
 
 def seesaw(f: BellFunctional, config: SeesawConfig = SeesawConfig()) -> SeesawResult:
