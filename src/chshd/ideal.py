@@ -21,12 +21,12 @@ The tilted strategy keeps Alice unchanged, replaces the state by
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Sequence
 
 import numpy as np
 
-from .correlations import Correlation, QuantumStrategy, check_memory, correlation_from_quantum
+from .correlations import MEMORY_BUDGET, Correlation, QuantumStrategy, check_memory, correlation_from_quantum
 from .functionals import TiltedSpec, block_answer_pairs, n_blocks, uniform_spec
 
 
@@ -66,6 +66,26 @@ def _blockwise_pvm(d: int, primed: bool, mu_of_block: Sequence[float]) -> np.nda
 IDEAL_CACHE_SIZE = 32
 
 
+def _per_spec_cache(build):
+    """``build(spec)`` cached per spec while one entry fits its share of the memory budget.
+
+    A spec's entry in the two caches is its ideal strategy (seven ``(d, d, d)``
+    complex PVMs and the state) and its ``(3, 4, d, d)`` Born table.  A spec
+    whose entry exceeds ``MEMORY_BUDGET // IDEAL_CACHE_SIZE`` (d >= 67) is
+    built afresh on every call, so both full caches together stay within
+    the budget.
+    """
+    cached = lru_cache(maxsize=IDEAL_CACHE_SIZE)(build)
+
+    @wraps(build)
+    def get(spec: TiltedSpec):
+        entry_bytes = 16 * (7 * spec.d**3 + spec.d**2) + 8 * 12 * spec.d**2
+        return build(spec) if entry_bytes > MEMORY_BUDGET // IDEAL_CACHE_SIZE else cached(spec)
+
+    get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
+    return get
+
+
 def ideal_maxent_strategy(d: int) -> QuantumStrategy:
     """Optimal strategy for the plain functional: maximally entangled state,
     per-block CHSH measurements (Bob at angles +-pi/4).
@@ -79,9 +99,9 @@ def ideal_maxent_correlation(d: int) -> Correlation:
     return ideal_tilted_correlation(uniform_spec(d))
 
 
-@lru_cache(maxsize=IDEAL_CACHE_SIZE)
+@_per_spec_cache
 def ideal_tilted_strategy(spec: TiltedSpec) -> QuantumStrategy:
-    """Strategy attaining the tilted functional's target value, cached per spec.
+    """Strategy attaining the tilted functional's target value, cached per spec up to d = 66.
 
     The state is ``sum_i c_i |ii>``; Alice measures as in the plain case and
     Bob's block angles are ``mu_m = arctan(sin 2 theta_m)`` (primed blocks
@@ -109,6 +129,6 @@ def ideal_tilted_strategy(spec: TiltedSpec) -> QuantumStrategy:
     return QuantumStrategy(d=d, dA=d, dB=d, state=state, alice_pvms=alice, bob_pvms=bob)
 
 
-@lru_cache(maxsize=IDEAL_CACHE_SIZE)
+@_per_spec_cache
 def ideal_tilted_correlation(spec: TiltedSpec) -> Correlation:
     return correlation_from_quantum(ideal_tilted_strategy(spec))

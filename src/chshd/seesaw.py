@@ -79,7 +79,9 @@ class SeesawConfig:
     """Optimizer settings.
 
     ``dA``/``dB`` default to the functional's ``d``.  ``init_noise`` is the
-    perturbation strength used by :attr:`InitKind.IDEAL_PERTURBED`.
+    perturbation strength used by :attr:`InitKind.IDEAL_PERTURBED`.  ``init``
+    may be given by its value (``"random"``); it is stored as an
+    :class:`InitKind`.  Counts and dimensions must be integers, not ``bool``.
     """
 
     dA: int | None = None
@@ -92,6 +94,17 @@ class SeesawConfig:
     init_noise: float = 1e-2
 
     def __post_init__(self):
+        for name in ("dA", "dB", "restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if value is None and name in ("dA", "dB"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        try:
+            object.__setattr__(self, "init", InitKind(self.init))
+        except ValueError:
+            kinds = ", ".join(kind.value for kind in InitKind)
+            raise InputError(f"init must be one of {kinds}, got {self.init!r}") from None
         if self.restarts < 1:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:

@@ -139,6 +139,31 @@ def test_ideal_strategies_are_cached():
         assert not array.flags.writeable  # one result is shared by every caller
 
 
+def test_ideal_caches_skip_specs_beyond_their_share_of_the_budget():
+    sizes = ideal_tilted_strategy.cache_info().currsize, ideal_tilted_correlation.cache_info().currsize
+    spec = uniform_spec(70)  # 112 * 70**3 bytes of PVMs, above MEMORY_BUDGET // 32
+    first, second = ideal_tilted_strategy(spec), ideal_tilted_strategy(spec)
+    assert first is not second
+    assert ideal_tilted_correlation(spec) is not ideal_tilted_correlation(spec)
+    assert np.array_equal(first.bob_pvms, second.bob_pvms)
+    del first, second
+    assert ideal_tilted_strategy.cache_info().currsize == sizes[0]
+    assert ideal_tilted_correlation.cache_info().currsize == sizes[1]
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_ideal_caches_keep_small_plain_specs(d):
+    assert ideal_maxent_strategy(d) is ideal_maxent_strategy(d)
+    assert ideal_maxent_correlation(d) is ideal_maxent_correlation(d)
+
+
+@pytest.mark.parametrize("c", [(0.8, 0.6), (0.6, 0.5, 0.45, math.sqrt(0.1875)), (0.5, 0.4, 0.4, 0.4, 0.3, math.sqrt(0.18))])
+def test_ideal_caches_keep_tilted_specs(c):
+    spec = TiltedSpec.from_coefficients(c)
+    assert ideal_tilted_strategy(spec) is ideal_tilted_strategy(TiltedSpec.from_coefficients(c))
+    assert ideal_tilted_correlation(spec) is ideal_tilted_correlation(TiltedSpec.from_coefficients(c))
+
+
 # ---------------------------------------------------------------------------
 # tilted family
 # ---------------------------------------------------------------------------

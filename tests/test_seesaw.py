@@ -123,6 +123,27 @@ def test_seesaw_config_rejects_nan(field):
             SeesawConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["dA", "dB", "restarts", "max_iters", "seed"])
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"])
+def test_seesaw_config_rejects_non_integers(field, value):
+    with pytest.raises(InputError, match=field):
+        SeesawConfig(**{field: value})
+
+
+def test_seesaw_config_takes_init_by_value():
+    f = build_maxent(3, 0.1)
+    by_value = SeesawConfig(restarts=1, max_iters=2, seed=4, init="random")
+    assert by_value.init is InitKind.RANDOM
+    by_kind = SeesawConfig(restarts=1, max_iters=2, seed=4, init=InitKind.RANDOM)
+    assert seesaw(f, by_value).trajectory == seesaw(f, by_kind).trajectory
+    assert SeesawConfig(init="ideal-perturbed").init is InitKind.IDEAL_PERTURBED
+
+
+def test_seesaw_config_rejects_unknown_init():
+    with pytest.raises(InputError, match="init"):
+        SeesawConfig(init="bogus")
+
+
 def test_seesaw_trajectories_are_monotone():
     f = build_maxent(3, 0.1)
     res = seesaw(f, SeesawConfig(restarts=4, max_iters=40, seed=5))
