@@ -79,7 +79,8 @@ def _per_spec_cache(build):
 
     @wraps(build)
     def get(spec: TiltedSpec):
-        entry_bytes = 16 * (7 * spec.d**3 + spec.d**2) + 8 * 12 * spec.d**2
+        d = spec.d
+        entry_bytes = 16 * (7 * d**3 + d**2) + 8 * 12 * d**2
         return build(spec) if entry_bytes > MEMORY_BUDGET // IDEAL_CACHE_SIZE else cached(spec)
 
     get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear

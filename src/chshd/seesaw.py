@@ -304,9 +304,11 @@ def _pair_ascent(
     the rotation's write-back.  The bookkeeping around it is Python scalars,
     since most pairs are 2x2 and a NumPy call on them costs more than its
     work: the labels are a list until the call returns, the column sets and
-    the relabel are loops, the pair differences are formed once per call,
-    and the two sums are added in NumPy's order (:func:`_numpy_sum`), so
-    every result is the same bits as with NumPy bookkeeping.
+    the relabel are loops, and the pair differences are formed once per
+    call.  The two sums keep NumPy's order (:func:`_numpy_sum`): the pass
+    gain decides the ``pass_gain < tol`` stop, so a gain rounded another way
+    could end a step one pass early or late and move the whole run.  Frames,
+    labels, gain and cap flag are the same bits as with NumPy bookkeeping.
 
     Returns the total gain and whether the pass cap was hit.
     """

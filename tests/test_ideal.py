@@ -157,7 +157,9 @@ def test_ideal_caches_keep_small_plain_specs(d):
     assert ideal_maxent_correlation(d) is ideal_maxent_correlation(d)
 
 
-@pytest.mark.parametrize("c", [(0.8, 0.6), (0.6, 0.5, 0.45, math.sqrt(0.1875)), (0.5, 0.4, 0.4, 0.4, 0.3, math.sqrt(0.18))])
+@pytest.mark.parametrize(
+    "c", [(0.8, 0.6), (0.6, 0.5, 0.45, math.sqrt(0.1875)), (0.5, 0.4, 0.4, 0.4, 0.3, math.sqrt(0.18))]
+)
 def test_ideal_caches_keep_tilted_specs(c):
     spec = TiltedSpec.from_coefficients(c)
     assert ideal_tilted_strategy(spec) is ideal_tilted_strategy(TiltedSpec.from_coefficients(c))
