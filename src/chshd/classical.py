@@ -19,7 +19,12 @@ added in the order the full sum uses.  Rounded addition is monotone, so a
 tie's prefixes all reach the floor and no tie is dropped, and at the last
 question the test compares the full sum itself.  Survivors are kept in
 row-major order, which is the lexicographic ``(fA, fB)`` order, and the work
-per question is proportional to the survivors times ``d``.
+per question is proportional to the survivors times ``d``.  The ties are kept
+as one read-only ``(n, 7)`` integer array, Alice's three answers and then
+Bob's four per row; :class:`DeterministicStrategy` objects are built from it
+only when ``argmax`` is first read.  The scan's row tensor and its three
+gathers, ``4 * 32 d^4`` bytes together, are checked against the memory
+budget before anything is allocated.
 
 The plain functional's classical maximum is ``2 (1 + [d > 2])`` for even
 ``d``.  For odd ``d`` the maximum routinely lies strictly above it:
@@ -31,12 +36,14 @@ value exceeds the even-d reference carry an explanatory note.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .correlations import DeterministicStrategy
+from .correlations import DeterministicStrategy, check_memory
 from .errors import EnumerationCapError, InputError
 from .functionals import BellFunctional, classical_reference_bound
 
@@ -55,24 +62,32 @@ def classical_value_of(f: BellFunctional, s: DeterministicStrategy) -> float:
     return float(sum(f.coeff[x, y, s.fA[x], s.fB[y]] for x in range(3) for y in range(4)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalMaxResult:
     """Outcome of the best-response pass.
 
     ``strategies_scanned`` is ``d^7``, the number of deterministic strategies
     the maximum covers: ``d^3`` Alice assignments, each met by Bob's best
-    response out of ``d^4``.  ``argmax`` lists every strategy within
-    :data:`TIE_TOL` of the maximum, in lexicographic ``(fA, fB)`` order.
+    response out of ``d^4``.  ``ties`` is a read-only ``(n, 7)`` integer
+    array with one row ``fA + fB`` for every strategy within the tie
+    tolerance of the maximum, in lexicographic ``(fA, fB)`` order.
+    ``argmax`` lists the same strategies as a tuple of
+    :class:`DeterministicStrategy`, built from ``ties`` on first read.
     ``note`` is set when the value exceeds the even-d classical reference
     bound (which happens for odd d, where the leftover-diagonal bonus terms
-    are classically achievable).
+    are classically achievable).  Results compare by identity.
     """
 
     value: float
-    argmax: tuple[DeterministicStrategy, ...]
+    ties: np.ndarray
     strategies_scanned: int
     reference_bound: float
     note: str | None = None
+
+    @cached_property
+    def argmax(self) -> tuple[DeterministicStrategy, ...]:
+        fa, fb = zip(*self.ties[:, :3].T.tolist()), zip(*self.ties[:, 3:].T.tolist())
+        return tuple(map(DeterministicStrategy._trusted, fa, fb))
 
 
 def _total(t0, t1, t2, t3):
@@ -88,10 +103,15 @@ def classical_max(
     Raises:
         EnumerationCapError: when ``f.d > cap`` (default cap 10, i.e. at most
             10^7 strategies).
+        InputError: when ``tie_tol`` is negative, infinite or NaN, or when
+            the scan's arrays would exceed the memory budget.
     """
     d = f.d
     if d > cap:
         raise EnumerationCapError(d, cap)
+    if not 0 <= tie_tol < math.inf:
+        raise InputError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
+    check_memory(4 * 32 * d**4, f"the classical scan at d={d}")
     fa_rows = np.array(list(product(range(d), repeat=3)), dtype=np.intp)
     coeff = f.coeff
     # rows[y, i, b] = sum_x coeff[x, y, fA_i[x], b], shape (4, d^3, d)
@@ -102,7 +122,6 @@ def classical_max(
 
     floor = best - tie_tol
     tied = np.flatnonzero(row_best >= floor)
-    fa = [tuple(a) for a in fa_rows[tied].tolist()]
     rows, top = rows[:, tied], top[:, tied]
     # Prefix k of Bob's answers extends tied row owner[k]; partial[k] is its
     # left-to-right sum and answers holds one column per question so far.
@@ -114,8 +133,8 @@ def classical_max(
             reach = reach + t[owner, None]
         k, b = np.nonzero(reach >= floor)
         owner, partial, answers = owner[k], sums[k, b], [a[k] for a in answers] + [b]
-    fb = map(tuple, np.column_stack(answers).tolist())
-    argmax = tuple(map(DeterministicStrategy._trusted, map(fa.__getitem__, owner.tolist()), fb))
+    ties = np.column_stack([fa_rows[tied[owner]], *answers])
+    ties.flags.writeable = False
 
     reference = classical_reference_bound(d)
     note = None
@@ -127,7 +146,7 @@ def classical_max(
         )
     return ClassicalMaxResult(
         value=best,
-        argmax=argmax,
+        ties=ties,
         strategies_scanned=d**7,
         reference_bound=reference,
         note=note,

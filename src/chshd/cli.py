@@ -255,7 +255,7 @@ def _classical_row(f: BellFunctional, cap: int) -> dict:
         "value": result.value,
         "reference_bound": result.reference_bound,
         "strategies_scanned": result.strategies_scanned,
-        "argmax_count": len(result.argmax),
+        "argmax_count": len(result.ties),
         "note": result.note,
     }
 
@@ -265,7 +265,7 @@ def cmd_classical(args) -> int:
         _require_json_format(args, "classical (without a sweep)")
         f, params = _resolve_functional(args)
         params["cap"] = args.cap
-        _emit(args, params, {"result": classical_result_to_dict(classical_max(f, cap=args.cap))})
+        _emit(args, params, {"result": classical_result_to_dict(classical_max(f, cap=args.cap), ties_array=True)})
         return 0
     if args.sweep_epsilon and args.sweep_d:
         raise InputError("--sweep-epsilon and --sweep-d are mutually exclusive")

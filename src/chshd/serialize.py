@@ -21,22 +21,22 @@ tuple a list, a real array nested lists and a complex array nested
 dataclass's field order.
 
 Two documents are written by hand.  The classical result lists up to tens of
-thousands of deterministic strategies (12,800 at epsilon = 0, d = 8), which
-the walker would visit one object and one answer at a time, about twenty
-times slower than the direct listing (56 ms against 2.7 ms at d = 8 on a
-2-core Xeon host).  The see-saw result document is not a copy of its
-dataclass: it leaves out ``pair_cap_hits``, orders its keys differently and
-includes the best strategy only on request; that strategy is written by the
-walker.
+thousands of deterministic strategies (12,800 at epsilon = 0, d = 8) as
+``{"fA": [...], "fB": [...]}`` records, built from the result's ``(n, 7)``
+tie array without any per-strategy object.  The see-saw result document is
+not a copy of its dataclass: it leaves out ``pair_cap_hits``, orders its
+keys differently and includes the best strategy only on request; that
+strategy is written by the walker.
 
 Every document is rendered by :func:`dumps_json`, a small recursive emitter
 whose output is byte-identical to ``json.dumps(doc, indent=2,
 allow_nan=False)`` for documents with string keys.  ``json.dumps`` with an
 indent falls back to CPython's pure-Python encoder; the emitter joins whole
-leaf lists of ints or floats at once, and renders a list of same-key records
-of int lists, such as the 12,800-entry classical tie list at d = 8, from one
-entry template formatted once (34 ms where the walk took 127 ms at d = 8 on a
-2-core Xeon host).
+leaf lists of ints or floats at once, and renders the classical tie array
+itself, which the CLI puts in its document in place of the record list, from
+one entry's bytes tiled once per tie (the CLI run ``classical --d 8 --epsilon
+0`` takes 11 ms against 62 ms when the list was built and walked as records,
+minimum of 9 runs on a 2-core Xeon host).
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ import os
 import tempfile
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -257,11 +255,17 @@ def functional_from_dict(doc: dict) -> BellFunctional:
 # ---------------------------------------------------------------------------
 
 
-def classical_result_to_dict(result: ClassicalMaxResult) -> dict:
+def classical_result_to_dict(result: ClassicalMaxResult, *, ties_array: bool = False) -> dict:
+    """The result's document; ``argmax`` lists ``{"fA": [...], "fB": [...]}`` records.
+
+    With ``ties_array`` the ``argmax`` entry is the read-only tie array itself,
+    which :func:`dumps_json` renders as the same records and ``json.dumps``
+    refuses.
+    """
     return {
         "kind": "classical_max",
         "value": result.value,
-        "argmax": [{"fA": list(s.fA), "fB": list(s.fB)} for s in result.argmax],
+        "argmax": result.ties if ties_array else _tie_records(result.ties),
         "strategies_scanned": result.strategies_scanned,
         "reference_bound": result.reference_bound,
         "note": result.note,
@@ -290,62 +294,65 @@ _encode_str = json.encoder.encode_basestring_ascii
 _SCALAR_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
-def _records(o: list, newline: str) -> str | None:
-    """JSON text of a list of same-key dicts of int lists, from one ``%d`` entry template.
+def _tie_records(ties: np.ndarray) -> list[dict]:
+    return [{"fA": a, "fB": b} for a, b in zip(ties[:, :3].tolist(), ties[:, 3:].tolist())]
 
-    Every item must be an exact ``dict`` with the first item's keys in its
-    order, every value a non-empty exact ``list`` of the first item's length
-    for that key, and every element an exact ``int``; otherwise None.
+
+#: Rows per piece of a rendered tie array, so that its text is never held twice.
+_TIE_BLOCK = 1024
+
+
+def _ties(ties: np.ndarray, newline: str) -> Iterator[str]:
+    """JSON text of a non-empty tie array's records: one entry's bytes tiled, the digits set per row.
+
+    The entry is the walker's own text of an all-zero row, so every answer
+    must be a single digit, 0..9.
     """
-    keys = tuple(o[0])
-    if not keys or set(map(tuple, o)) != {keys}:
-        return None
-    shape = []
-    for column in (list(map(itemgetter(k), o)) for k in keys):
-        if set(map(type, column)) != {list}:
-            return None
-        lengths = set(map(len, column))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape += lengths
-    flat = tuple(chain.from_iterable(chain.from_iterable(map(dict.values, o))))
-    if set(map(type, flat)) != {int}:
-        return None
-    inner, field = newline + "  ", newline + "    "
-    elem = field + "  "
-    fields = (
-        _encode_str(k).replace("%", "%%") + ": [" + elem + ("," + elem).join(["%d"] * n) + field + "]"
-        for k, n in zip(keys, shape)
-    )
-    entry = "{" + field + ("," + field).join(fields) + inner + "}"
-    return ("[" + inner + ("," + inner).join([entry] * len(o)) + newline + "]") % flat
+    # The text of one row is "[" + entry + newline + "]".  Each row becomes
+    # "," + entry, and the first row's "," is then overwritten by the "[".
+    one = "".join(_emit(_tie_records(np.zeros((1, 7), int)), newline)).encode()
+    unit = np.frombuffer(b"," + one[1 : -len(newline) - 1], np.uint8)
+    for start in range(0, len(ties), _TIE_BLOCK):
+        block = ties[start : start + _TIE_BLOCK]
+        text = np.tile(unit, (len(block), 1))
+        text[:, unit == ord("0")] += block.astype(np.uint8)
+        text[0, 0] = ord(",") if start else ord("[")
+        yield str(text, "ascii")
+    yield newline + "]"
 
 
-def _emit(o: Any, newline: str) -> str:
-    """JSON text of ``o`` whose opening line is indented by ``newline`` (``"\\n"`` + spaces)."""
+def _emit(o: Any, newline: str) -> Iterator[str]:
+    """JSON text of ``o``, in pieces, whose opening line is indented by ``newline`` (``"\\n"`` + spaces)."""
+    inner = newline + "  "
     if isinstance(o, str):
-        return _encode_str(o)
-    if isinstance(o, float):
+        yield _encode_str(o)
+    elif isinstance(o, float):
         if not math.isfinite(o):
             raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        return float.__repr__(o)
-    if isinstance(o, (list, tuple)):
-        inner = newline + "  "
+        yield float.__repr__(o)
+    elif isinstance(o, np.ndarray) and o.dtype.kind in "iu" and o.ndim == 2 and o.shape[1] == 7:
+        digits = len(o) and 0 <= o.min() and o.max() <= 9
+        yield from _ties(o, newline) if digits else _emit(_tie_records(o), newline)
+    elif isinstance(o, (list, tuple, dict)) and not o:
+        yield "{}" if isinstance(o, dict) else "[]"
+    elif isinstance(o, (list, tuple)):
         # A list of exact ints, or of finite exact floats, is joined by the
         # repr json.encoder itself applies to each item; anything else recurses.
         kinds = set(map(type, o))
         if kinds == {int} or (kinds == {float} and all(map(math.isfinite, o))):
-            items = map(type(o[0]).__repr__, o)
-        elif kinds == {dict} and (text := _records(o, newline)) is not None:
-            return text
-        else:
-            items = (_emit(v, inner) for v in o)
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if o else "[]"
-    if isinstance(o, dict):
-        inner = newline + "  "
-        items = (_encode_str(k) + ": " + _emit(v, inner) for k, v in o.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if o else "{}"
-    return _SCALAR_ENCODER.encode(o)
+            yield "[" + inner + ("," + inner).join(map(type(o[0]).__repr__, o)) + newline + "]"
+            return
+        for i, v in enumerate(o):
+            yield ("," if i else "[") + inner
+            yield from _emit(v, inner)
+        yield newline + "]"
+    elif isinstance(o, dict):
+        for i, (k, v) in enumerate(o.items()):
+            yield ("," if i else "{") + inner + _encode_str(k) + ": "
+            yield from _emit(v, inner)
+        yield newline + "}"
+    else:
+        yield _SCALAR_ENCODER.encode(o)
 
 
 def dumps_json(doc: dict) -> str:
@@ -354,16 +361,21 @@ def dumps_json(doc: dict) -> str:
     Dicts, lists and tuples are walked with ``json.encoder``'s ``isinstance``
     rules, strings go through ``encode_basestring_ascii`` and every other
     scalar but ``float`` through one C-backed ``JSONEncoder``.  Keys must be
-    strings.
+    strings.  The walk yields the text in pieces, a tie array in blocks of
+    1,024 rows, and they are joined once, so a long tie list is never held
+    twice.
 
-    Two list rules skip the walk.  A list of exact ints, or of finite exact
-    floats, is joined from their reprs.  A list of records, that is exact
-    dicts with one common key order whose values are non-empty exact lists
-    of exact ints, one length per key, is rendered from one ``%d`` entry
-    template repeated once per record and formatted once.  Anything else,
-    ``bool``, NumPy or other ``int`` subclasses, ``{}`` items, another key
-    order or a ragged length among them, is walked, so its text or its
-    ``TypeError`` is the one ``json.dumps`` gives.
+    Two leaf rules skip the walk.  A list of exact ints, or of finite exact
+    floats, is joined from their reprs.  A two-dimensional NumPy integer
+    array with seven columns is a classical tie array: it is written as the
+    list of ``{"fA": row[:3], "fB": row[3:]}`` records, from one entry's
+    bytes repeated once per row with the digits set in place when every
+    answer is 0..9, and by walking those records otherwise (answers from 10
+    on occur only above the default enumeration cap).  Any other list is
+    walked item by item, so one holding ``bool``, NumPy scalars or other
+    ``int`` subclasses gets the text, or the ``TypeError``, that
+    ``json.dumps`` gives; any other array reaches the scalar encoder, which
+    refuses it with ``json.dumps``'s ``TypeError``.
 
     Raises:
         NumericalIntegrityError: if ``doc`` holds NaN or infinity, which JSON
@@ -372,7 +384,7 @@ def dumps_json(doc: dict) -> str:
             form for.
     """
     try:
-        return _emit(doc, "\n")
+        return "".join(_emit(doc, "\n"))
     except ValueError as exc:
         raise NumericalIntegrityError(f"refusing to emit a non-finite number: {exc}") from exc
 

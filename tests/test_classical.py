@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from chshd import (
     CrossDiagonalMode,
     DeterministicStrategy,
     EnumerationCapError,
+    InputError,
     build_maxent,
     build_tilted,
     classical_max,
@@ -20,6 +22,8 @@ from chshd import (
     correlation_from_deterministic,
     evaluate,
 )
+
+from chshd.cli import main
 
 from oracles import brute_force_classical
 
@@ -179,3 +183,27 @@ def test_argmax_entries_match_publicly_built_strategies():
         assert all(type(v) is int for v in s.fA + s.fB)
         assert s == public and hash(s) == hash(public) and repr(s) == repr(public)
     assert len(set(res.argmax)) == len(res.argmax)
+
+
+@pytest.mark.parametrize("tie_tol", [math.nan, -1.0, math.inf])
+def test_classical_max_refuses_tie_tolerance_outside_zero_to_infinity(tie_tol):
+    with pytest.raises(InputError, match="tie_tol"):
+        classical_max(build_maxent(3, 0.1), tie_tol=tie_tol)
+
+
+def test_classical_max_accepts_zero_tie_tolerance():
+    res = classical_max(build_maxent(3, 0.0, allow_zero_epsilon=True), tie_tol=0.0)
+    assert len(res.ties) >= 1 and res.value == classical_max(build_maxent(3, 0.0, allow_zero_epsilon=True)).value
+
+
+def test_classical_scan_over_memory_budget_exits_2_before_allocating(capsys):
+    # 4 * 32 * 54**4 bytes of row tensor and gathers, just above the 1 GiB budget.
+    tracemalloc.start()
+    try:
+        code = main(["classical", "--d", "54", "--cap", "54"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "the classical scan at d=54" in capsys.readouterr().err
+    assert peak < 20 * 2**20

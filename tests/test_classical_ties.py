@@ -18,8 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshd import BellFunctional, CrossDiagonalMode, Variant, build_maxent, build_tilted, classical_max
+from chshd import (
+    BellFunctional,
+    CrossDiagonalMode,
+    DeterministicStrategy,
+    Variant,
+    build_maxent,
+    build_tilted,
+    classical_max,
+)
 from chshd.cli import main
+from chshd.serialize import classical_result_to_dict
 
 from oracles import brute_force_classical
 
@@ -109,3 +118,47 @@ def test_tie_heavy_tensors_match_brute_force_oracle(f):
     best, argmax = brute_force_classical(f.coeff, f.d)
     assert res.value == best
     assert [(s.fA, s.fB) for s in res.argmax] == argmax
+
+
+def test_ties_array_is_read_only_and_lists_argmax_in_order():
+    res = classical_max(_functional("maxent-d6-exclude"))
+    assert res.ties.shape == (4704, 7) and res.ties.dtype.kind == "i"
+    assert not res.ties.flags.writeable
+    with pytest.raises(ValueError):
+        res.ties[0, 0] = 1
+    assert [tuple(row) for row in res.ties.tolist()] == [s.fA + s.fB for s in res.argmax]
+    assert res.argmax is res.argmax
+
+
+def _cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0
+    return out.getvalue()
+
+
+def test_cli_tie_list_with_two_digit_answers_is_the_walked_json():
+    # At d = 11 the answers reach 10, past the one-digit entry template.
+    argv = ["classical", "--d", "11", "--cap", "11", "--epsilon", "0", "--allow-zero-epsilon"]
+    text = _cli_stdout(*argv)
+    res = classical_max(build_maxent(11, 0.0, allow_zero_epsilon=True), cap=11)
+    assert len(res.ties) == 110 and res.ties.max() == 10
+    doc = {"manifest": json.loads(text)["manifest"], "result": classical_result_to_dict(res)}
+    assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical", "--d", "8", "--epsilon", "0", "--allow-zero-epsilon"],
+        ["classical", "--sweep-d", "3,6,8", "--epsilon", "0", "--allow-zero-epsilon"],
+    ],
+)
+def test_cli_classical_builds_no_deterministic_strategy(monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DeterministicStrategy was built")
+
+    monkeypatch.setattr(DeterministicStrategy, "_trusted", classmethod(refuse))
+    monkeypatch.setattr(DeterministicStrategy, "__post_init__", refuse)
+    assert json.loads(_cli_stdout(*argv))

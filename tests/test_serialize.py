@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chshd import (
     ChshdError,
@@ -447,3 +448,24 @@ def test_to_dict_walker_rules():
     assert type(doc["tilted_spec"]["c"]) is list
     assert to_dict(report)["checks"][0] == dataclasses.asdict(report.checks[0])
     assert np.array(to_dict(chsh)["state"]).shape == (chsh.dA * chsh.dB, 2)
+
+
+# The classical tie array, an (n, 7) integer array, is rendered from one
+# entry's bytes when every answer is a single digit.
+
+TIE_ARRAYS = arrays(
+    st.sampled_from([np.intp, np.int8, np.uint16]),
+    st.tuples(st.integers(1, 40), st.just(7)),
+    elements=st.integers(0, 9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TIE_ARRAYS, st.dictionaries(TEXT, SCALARS, max_size=2))
+def test_dumps_json_tie_array_matches_json_dumps_of_its_records(ties, manifest):
+    # The CLI's nesting: {"manifest": ..., "result": {..., "argmax": ties, ...}}.
+    def doc(argmax):
+        return {"manifest": manifest, "result": {"kind": "classical_max", "argmax": argmax, "note": None}}
+
+    records = [{"fA": row[:3], "fB": row[3:]} for row in ties.tolist()]
+    assert dumps_json(doc(ties)) == json.dumps(doc(records), indent=2, allow_nan=False)
