@@ -24,7 +24,11 @@ as one read-only ``(n, 7)`` integer array, Alice's three answers and then
 Bob's four per row; :class:`DeterministicStrategy` objects are built from it
 only when ``argmax`` is first read.  The scan's row tensor and its three
 gathers, ``4 * 32 d^4`` bytes together, are checked against the memory
-budget before anything is allocated.
+budget before anything is allocated, and so is the tie listing, whose size
+the tolerance sets (any large one ties every strategy), before it starts.
+Each tied row has at most ``d^4`` ties; when that many could exceed the
+budget, the product over Bob's questions of the answers that can still
+reach the floor bounds them instead.
 
 The plain functional's classical maximum is ``2 (1 + [d > 2])`` for even
 ``d``.  For odd ``d`` the maximum routinely lies strictly above it:
@@ -43,6 +47,7 @@ from itertools import product
 
 import numpy as np
 
+from . import correlations
 from .correlations import DeterministicStrategy, check_memory
 from .errors import EnumerationCapError, InputError
 from .functionals import BellFunctional, classical_reference_bound
@@ -52,6 +57,13 @@ TIE_TOL = 1e-12
 
 #: Largest d scanned without an explicit override (d^7 strategies).
 DEFAULT_CAP = 10
+
+#: Peak bytes of the tie listing per (prefix, answer) pair of one prefix step
+#: (its sums, reach, gathered row terms and mask), and per listed tie (the
+#: surviving indices and sums, the answer columns and the ``(n, 7)`` array
+#: they are stacked into), with some room for NumPy's temporaries.
+_STEP_BYTES = 48
+_TIE_BYTES = 128
 
 
 def classical_value_of(f: BellFunctional, s: DeterministicStrategy) -> float:
@@ -104,7 +116,8 @@ def classical_max(
         EnumerationCapError: when ``f.d > cap`` (default cap 10, i.e. at most
             10^7 strategies).
         InputError: when ``tie_tol`` is negative, infinite or NaN, or when
-            the scan's arrays would exceed the memory budget.
+            the scan's arrays, or the tie listing's bound, would exceed the
+            memory budget.
     """
     d = f.d
     if d > cap:
@@ -123,6 +136,23 @@ def classical_max(
     floor = best - tie_tol
     tied = np.flatnonzero(row_best >= floor)
     rows, top = rows[:, tied], top[:, tied]
+
+    def listing_bytes(widths):
+        return _STEP_BYTES * d * max(len(tied), *widths[:3]) + _TIE_BYTES * int(widths[3])
+
+    # widths[y] bounds the prefixes of length y + 1, and widths[3] the ties:
+    # at first by every answer, then, if that could exceed the budget, by
+    # counts[y, i], Bob's answers to question y that reach the floor in tied
+    # row i with his other questions at their maxima (added in the full
+    # sum's order), since every tie is among their products.
+    widths = len(tied) * d ** np.arange(1, 5)
+    if listing_bytes(widths) > correlations.MEMORY_BUDGET:
+        counts = [
+            (_total(*(rows[z] if z == y else top[z, :, None] for z in range(4))) >= floor).sum(axis=1)
+            for y in range(4)
+        ]
+        widths = np.cumprod(counts, axis=0).sum(axis=1)
+    check_memory(listing_bytes(widths), f"listing up to {widths[3]:,} classical ties at d={d}")
     # Prefix k of Bob's answers extends tied row owner[k]; partial[k] is its
     # left-to-right sum and answers holds one column per question so far.
     owner, partial, answers = np.arange(len(tied)), None, []

@@ -29,6 +29,9 @@ Functional flags a command would ignore are refused with exit code 2:
 ``--cross-diagonal`` or ``--allow-zero-epsilon``; ``--coeffs`` without
 ``--tilted``; ``--bell``, ``--tilted`` or ``--coeffs`` with a sweep;
 ``--epsilon`` with ``--sweep-epsilon``; and ``--d`` with ``--sweep-d``.
+A ``--correlation`` file whose table has a negative entry, an entry above
+one or a question pair that does not sum to one is refused the same way;
+a normalized table that signals is verified, and fails.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 
 from . import __version__
 from .classical import DEFAULT_CAP, classical_max
+from .correlations import Correlation, validate_correlation
 from .errors import ChshdError, InputError
 from .functionals import (
     BellFunctional,
@@ -223,6 +227,23 @@ def _load(path: str, key: str, from_dict):
     return from_dict(doc.get(key, doc))
 
 
+def _load_correlation(path: str) -> Correlation:
+    """The correlation in ``path``, refused with InputError unless it is a probability table.
+
+    Range and normalization are checked, not no-signaling: a normalized
+    table that signals is a valid input that verification calls ``failed``.
+    """
+    p = _load(path, "correlation", correlation_from_dict)
+    violations = validate_correlation(p, check_no_signaling=False).violations
+    if violations:
+        v = violations[0]
+        raise InputError(
+            f"{path} does not hold a probability table: {v.kind} at {v.location} "
+            f"by {v.magnitude:.3g} ({len(violations)} violation(s))"
+        )
+    return p
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -359,7 +380,7 @@ def cmd_seesaw(args) -> int:
 def cmd_verify(args) -> int:
     _require_json_format(args, "verify")
     f, params = _resolve_functional(args)
-    p = _load(args.correlation, "correlation", correlation_from_dict)
+    p = _load_correlation(args.correlation)
     params |= {"correlation": args.correlation, "tol": args.tol}
     report = (verify_selftest if f.variant is Variant.MAXENT else verify_selftest_tilted)(p, f, tol=args.tol)
     _emit(args, params, report_to_dict(report))
@@ -369,7 +390,7 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     _require_json_format(args, "eval")
     f = _load(args.bell, "functional", functional_from_dict)
-    p = _load(args.correlation, "correlation", correlation_from_dict)
+    p = _load_correlation(args.correlation)
     _emit(args, {"bell": args.bell, "correlation": args.correlation}, {"value": evaluate(f, p)})
     return 0
 

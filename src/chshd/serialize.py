@@ -28,22 +28,20 @@ not a copy of its dataclass: it leaves out ``pair_cap_hits``, orders its
 keys differently and includes the best strategy only on request; that
 strategy is written by the walker.
 
-Every document is rendered by :func:`dumps_json`, a small recursive emitter
-whose output is byte-identical to ``json.dumps(doc, indent=2,
-allow_nan=False)`` for documents with string keys.  ``json.dumps`` with an
-indent falls back to CPython's pure-Python encoder; the emitter joins whole
-leaf lists of ints or floats at once, and renders the classical tie array
-itself, which the CLI puts in its document in place of the record list, from
-one entry's bytes tiled once per tie (the CLI run ``classical --d 8 --epsilon
+Every document is rendered by :func:`dumps_json`, which is ``json.dumps(doc,
+indent=2, allow_nan=False)`` plus one splice.  The CLI puts the classical
+tie array in its document in place of the record list; ``json.dumps`` writes
+a mark there, and the list's text, one entry's bytes tiled once per tie with
+the digits set in place, replaces it (the CLI run ``classical --d 8 --epsilon
 0`` takes 11 ms against 62 ms when the list was built and walked as records,
-minimum of 9 runs on a 2-core Xeon host).
+minimum of 9 runs on a 2-core Xeon host).  Keys must be strings, which
+``json.dumps`` does not check, so the dicts are walked once first.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import tempfile
 from enum import Enum
@@ -290,10 +288,6 @@ def seesaw_result_to_dict(result: SeesawResult, include_strategy: bool = True) -
 # ---------------------------------------------------------------------------
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_SCALAR_ENCODER = json.JSONEncoder(allow_nan=False)
-
-
 def _tie_records(ties: np.ndarray) -> list[dict]:
     return [{"fA": a, "fB": b} for a, b in zip(ties[:, :3].tolist(), ties[:, 3:].tolist())]
 
@@ -301,16 +295,19 @@ def _tie_records(ties: np.ndarray) -> list[dict]:
 #: Rows per piece of a rendered tie array, so that its text is never held twice.
 _TIE_BLOCK = 1024
 
+#: The string a tie array stands as in ``json.dumps``'s text until its own text is spliced in.
+_TIE_MARK = "\x00classical tie array\x00"
+
 
 def _ties(ties: np.ndarray, newline: str) -> Iterator[str]:
     """JSON text of a non-empty tie array's records: one entry's bytes tiled, the digits set per row.
 
-    The entry is the walker's own text of an all-zero row, so every answer
+    The entry is ``json.dumps``'s text of an all-zero row, so every answer
     must be a single digit, 0..9.
     """
     # The text of one row is "[" + entry + newline + "]".  Each row becomes
     # "," + entry, and the first row's "," is then overwritten by the "[".
-    one = "".join(_emit(_tie_records(np.zeros((1, 7), int)), newline)).encode()
+    one = json.dumps(_tie_records(np.zeros((1, 7), int)), indent=2).replace("\n", newline).encode()
     unit = np.frombuffer(b"," + one[1 : -len(newline) - 1], np.uint8)
     for start in range(0, len(ties), _TIE_BLOCK):
         block = ties[start : start + _TIE_BLOCK]
@@ -321,61 +318,37 @@ def _ties(ties: np.ndarray, newline: str) -> Iterator[str]:
     yield newline + "]"
 
 
-def _emit(o: Any, newline: str) -> Iterator[str]:
-    """JSON text of ``o``, in pieces, whose opening line is indented by ``newline`` (``"\\n"`` + spaces)."""
-    inner = newline + "  "
-    if isinstance(o, str):
-        yield _encode_str(o)
-    elif isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        yield float.__repr__(o)
-    elif isinstance(o, np.ndarray) and o.dtype.kind in "iu" and o.ndim == 2 and o.shape[1] == 7:
-        digits = len(o) and 0 <= o.min() and o.max() <= 9
-        yield from _ties(o, newline) if digits else _emit(_tie_records(o), newline)
-    elif isinstance(o, (list, tuple, dict)) and not o:
-        yield "{}" if isinstance(o, dict) else "[]"
-    elif isinstance(o, (list, tuple)):
-        # A list of exact ints, or of finite exact floats, is joined by the
-        # repr json.encoder itself applies to each item; anything else recurses.
-        kinds = set(map(type, o))
-        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, o))):
-            yield "[" + inner + ("," + inner).join(map(type(o[0]).__repr__, o)) + newline + "]"
-            return
-        for i, v in enumerate(o):
-            yield ("," if i else "[") + inner
-            yield from _emit(v, inner)
-        yield newline + "]"
-    elif isinstance(o, dict):
-        for i, (k, v) in enumerate(o.items()):
-            yield ("," if i else "{") + inner + _encode_str(k) + ": "
-            yield from _emit(v, inner)
-        yield newline + "}"
-    else:
-        yield _SCALAR_ENCODER.encode(o)
+def _refuse_keys_that_are_not_strings(o: Any) -> None:
+    """Raise ``TypeError`` for a dict key that is not a string, at any depth of dicts, lists and tuples."""
+    if isinstance(o, dict):
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        o = o.values()
+    elif not isinstance(o, (list, tuple)):
+        return
+    for v in o:
+        if isinstance(v, (dict, list, tuple)):
+            _refuse_keys_that_are_not_strings(v)
 
 
 def dumps_json(doc: dict) -> str:
-    """Indented JSON text of ``doc``, byte-identical to ``json.dumps(doc, indent=2, allow_nan=False)``.
+    """``json.dumps(doc, indent=2, allow_nan=False)``, with a classical tie array rendered as its records.
 
-    Dicts, lists and tuples are walked with ``json.encoder``'s ``isinstance``
-    rules, strings go through ``encode_basestring_ascii`` and every other
-    scalar but ``float`` through one C-backed ``JSONEncoder``.  Keys must be
-    strings.  The walk yields the text in pieces, a tie array in blocks of
-    1,024 rows, and they are joined once, so a long tie list is never held
-    twice.
+    A two-dimensional NumPy integer array with seven columns is a classical
+    tie array, written as the list of ``{"fA": row[:3], "fB": row[3:]}``
+    records.  When every answer is 0..9, ``json.dumps`` writes a mark in
+    its place, and the records' text, one entry's bytes repeated once per
+    row with the digits set in place, is spliced in at the indentation of
+    the mark's line, in blocks of 1,024 rows, so the list is never held as
+    Python objects.  Otherwise (answers from 10 on occur only above the
+    default enumeration cap, or when a second tie array or a document string
+    equal to the mark leaves the splice ambiguous) the records are handed to
+    ``json.dumps``.  Any other value JSON has no form for gets
+    ``json.dumps``'s own ``TypeError``.
 
-    Two leaf rules skip the walk.  A list of exact ints, or of finite exact
-    floats, is joined from their reprs.  A two-dimensional NumPy integer
-    array with seven columns is a classical tie array: it is written as the
-    list of ``{"fA": row[:3], "fB": row[3:]}`` records, from one entry's
-    bytes repeated once per row with the digits set in place when every
-    answer is 0..9, and by walking those records otherwise (answers from 10
-    on occur only above the default enumeration cap).  Any other list is
-    walked item by item, so one holding ``bool``, NumPy scalars or other
-    ``int`` subclasses gets the text, or the ``TypeError``, that
-    ``json.dumps`` gives; any other array reaches the scalar encoder, which
-    refuses it with ``json.dumps``'s ``TypeError``.
+    Keys must be strings: ``json.dumps`` would silently write an int key as
+    a string, so the dicts are walked once to refuse that first.
 
     Raises:
         NumericalIntegrityError: if ``doc`` holds NaN or infinity, which JSON
@@ -383,10 +356,31 @@ def dumps_json(doc: dict) -> str:
         TypeError: for a key that is not a string, or a value JSON has no
             form for.
     """
+    _refuse_keys_that_are_not_strings(doc)
+    spliced: list[np.ndarray] = []
+
+    def default(o: Any) -> Any:
+        if not (isinstance(o, np.ndarray) and o.dtype.kind in "iu" and o.ndim == 2 and o.shape[1] == 7):
+            return json.JSONEncoder().default(o)  # raises json.dumps's own TypeError
+        if spliced or not (len(o) and 0 <= o.min() and o.max() <= 9):
+            return _tie_records(o)
+        spliced.append(o)
+        return _TIE_MARK
+
     try:
-        return "".join(_emit(doc, "\n"))
+        text = json.dumps(doc, indent=2, allow_nan=False, default=default)
     except ValueError as exc:
         raise NumericalIntegrityError(f"refusing to emit a non-finite number: {exc}") from exc
+    if not spliced:
+        return text
+    mark = json.dumps(_TIE_MARK)
+    if text.count(mark) != 1:
+        # A document string equals the mark, so the array is written as records.
+        return json.dumps(doc, indent=2, default=lambda o: _tie_records(o) if o is spliced[0] else default(o))
+    head, _, tail = text.partition(mark)
+    line = head[head.rfind("\n") + 1 :]
+    newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+    return "".join([head, *_ties(spliced[0], newline), tail])
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

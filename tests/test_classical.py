@@ -23,6 +23,7 @@ from chshd import (
     evaluate,
 )
 
+from chshd.classical import TIE_TOL
 from chshd.cli import main
 
 from oracles import brute_force_classical
@@ -207,3 +208,26 @@ def test_classical_scan_over_memory_budget_exits_2_before_allocating(capsys):
     assert code == 2
     assert "the classical scan at d=54" in capsys.readouterr().err
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize(
+    "d,epsilon,tie_tol,n",
+    [(4, 0.1, 1e300, 4**7), (8, 0.0, TIE_TOL, 12800), (8, 0.0, 0.0, 12800)],
+    ids=["every strategy tied", "epsilon 0", "epsilon 0, no tolerance"],
+)
+def test_tie_listing_over_memory_budget_is_refused_before_listing(monkeypatch, d, epsilon, tie_tol, n):
+    # The listing's bound is exact here, and it covers what the listing
+    # allocates: a budget just below the call's traced peak refuses it early.
+    f = build_maxent(d, epsilon, allow_zero_epsilon=True)
+    tracemalloc.start()
+    try:
+        assert len(classical_max(f, tie_tol=tie_tol).ties) == n
+        listed_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr("chshd.correlations.MEMORY_BUDGET", listed_peak - 1)
+        with pytest.raises(InputError, match=f"listing up to {n:,} classical ties at d={d}"):
+            classical_max(f, tie_tol=tie_tol)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused_peak < listed_peak / 4

@@ -185,6 +185,41 @@ def test_verify_non_finite_correlation_exits_two(capsys, tmp_path):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _scaled_by_two(table):
+    table *= 2
+
+
+def _negative_entry(table):
+    # Every entry of the d = 3 ideal table is at most 1/3; the sums stay one.
+    table[0, 0, 0, 0] -= 0.5
+    table[0, 0, 1, 1] += 0.5
+
+
+def _entry_above_one(table):
+    table[1, 2, 0, 0] = 1.5
+
+
+@pytest.mark.parametrize(
+    "edit,kind",
+    [(_scaled_by_two, "normalization"), (_negative_entry, "negative_entry"), (_entry_above_one, "entry_above_one")],
+)
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_correlation_that_is_not_a_probability_table_exits_two(capsys, tmp_path, edit, kind, command):
+    bell = tmp_path / "bell.json"
+    assert main(["build", "--d", "3", "--out", str(bell)]) == 0
+    doc = correlation_to_dict(ideal_maxent_correlation(3))
+    table = np.array(doc["table"])
+    edit(table)
+    doc["table"] = table.tolist()
+    corr = tmp_path / "edited.json"
+    write_json_atomic(corr, {"correlation": doc})
+    capsys.readouterr()
+    assert main([command, "--bell", str(bell), "--correlation", str(corr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"does not hold a probability table: {kind} at (" in captured.err
+
+
 def test_non_finite_output_exits_two(capsys, tmp_path):
     corr = tmp_path / "corr.json"
     assert main(["ideal", "--d", "3", "--out", str(corr)]) == 0
@@ -465,12 +500,16 @@ def split_artifact(text):
         ("seesaw", "--bell", "{bell}", "--restarts", "1", "--iters", "10", "--seed", "3"),
         ("verify", "--d", "3", "--correlation", "{corr}"),
         ("eval", "--bell", "{bell}", "--correlation", "{corr}"),
+        ("classical", "--d", "8", "--epsilon", "0", "--allow-zero-epsilon"),
     ],
     ids=lambda argv: " ".join(argv[:3]),
 )
 def test_manifest_replay_reproduces_every_subcommand(capsys, artifacts, argv):
     code, text = run(capsys, *(arg.format(**artifacts) for arg in argv))
     manifest, payload = split_artifact(text)
+    if not text.startswith("# manifest: "):
+        # Every JSON artifact, the spliced tie list included, is json.dumps's text (and print's newline).
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
     replay_code, replay_text = run(capsys, *argv_from_manifest(manifest))
     replay_manifest, replay_payload = split_artifact(replay_text)
     assert code == replay_code == 0

@@ -33,6 +33,7 @@ from chshd import (
     verify_selftest,
 )
 from chshd.serialize import (
+    _TIE_MARK,
     classical_result_to_dict,
     block_weights_to_dict,
     complex_matrix_from_lists,
@@ -469,3 +470,39 @@ def test_dumps_json_tie_array_matches_json_dumps_of_its_records(ties, manifest):
 
     records = [{"fA": row[:3], "fB": row[3:]} for row in ties.tolist()]
     assert dumps_json(doc(ties)) == json.dumps(doc(records), indent=2, allow_nan=False)
+
+
+
+def _records(ties):
+    return [{"fA": row[:3], "fB": row[3:]} for row in ties.tolist()]
+
+
+SPLICE_TIES = np.array([[1, 2, 3, 4, 5, 6, 7], [0, 0, 0, 0, 0, 0, 9]])
+
+
+@pytest.mark.parametrize(
+    "doc,plain",
+    [
+        (
+            {"a": _TIE_MARK, "b": {"ties": SPLICE_TIES}},
+            {"a": _TIE_MARK, "b": {"ties": _records(SPLICE_TIES)}},
+        ),
+        (
+            {"b": {"ties": SPLICE_TIES}, "z": [_TIE_MARK]},
+            {"b": {"ties": _records(SPLICE_TIES)}, "z": [_TIE_MARK]},
+        ),
+        (
+            {"b": {"ties": SPLICE_TIES}, "z": [SPLICE_TIES[::-1]]},
+            {"b": {"ties": _records(SPLICE_TIES)}, "z": [_records(SPLICE_TIES[::-1])]},
+        ),
+        (
+            {"b": {"ties": SPLICE_TIES + 3}, "z": [SPLICE_TIES]},
+            {"b": {"ties": _records(SPLICE_TIES + 3)}, "z": [_records(SPLICE_TIES)]},
+        ),
+    ],
+    ids=["mark string first", "mark string last", "two tie arrays", "two-digit array first"],
+)
+def test_dumps_json_tie_splice_is_never_ambiguous(doc, plain):
+    # A tie array stands as a mark string until its text is spliced in; a
+    # document string equal to the mark, or a second tie array, must not move it.
+    assert dumps_json(doc) == json.dumps(plain, indent=2, allow_nan=False)
